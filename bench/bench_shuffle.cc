@@ -1,17 +1,17 @@
-// External sort-merge shuffle (DESIGN.md §12): a word-count job whose map
-// output is several times the sort buffer, run in-memory (the baseline)
-// and through the spill/merge path at a few buffer sizes and codecs. The
-// claims gated in CI:
+// Sort-merge shuffle (DESIGN.md §12): a word-count job whose map output is
+// several times the sort buffer, run with an unbounded buffer (resident
+// runs, the baseline) and with bounded buffers that spill, at a few sizes
+// and codecs. The claims gated in CI:
 //
-//   * every external arm spills (spill_count > 0) and, at the 4x+ arms,
+//   * every bounded arm spills (spill_count > 0) and, at the 4x+ arms,
 //     spills at least twice per map task;
 //   * buffer occupancy stays bounded — peak is never more than one record
 //     past sort_buffer_bytes, no matter how big the map output is;
-//   * output is byte-identical to the in-memory baseline in every arm.
+//   * output is byte-identical to the unbounded baseline in every arm.
 //
-// The interesting row is wall time vs. peak memory: the external path
-// pays merge I/O for a map-side footprint that no longer grows with the
-// input.
+// The interesting row is wall time vs. peak memory: a bounded buffer pays
+// spill and merge I/O for a map-side footprint that no longer grows with
+// the input.
 
 #include <cstdio>
 #include <memory>
@@ -108,7 +108,8 @@ int main() {
   JobRunner runner(fs.get());
   Job job = WordCountJob();
 
-  // Baseline: the in-memory shuffle everything must byte-match.
+  // Baseline: the unbounded buffer (resident runs) everything must
+  // byte-match.
   JobReport baseline;
   Die(runner.Run(job, &baseline), "baseline");
   const size_t tasks = baseline.map_tasks.size();
@@ -122,12 +123,12 @@ int main() {
 
   struct Arm {
     const char* label;
-    uint64_t sort_buffer;  // 0 = in-memory
+    uint64_t sort_buffer;  // 0 = unbounded
     CodecType codec;
     int merge_factor;
   };
   const Arm arms[] = {
-      {"in-memory", 0, CodecType::kNone, 10},
+      {"unbounded", 0, CodecType::kNone, 10},
       // Per-task output is >= 4x the buffer: the acceptance scenario.
       {"external-4x", per_task / 4, CodecType::kNone, 10},
       // >= 16x plus a small merge factor to force intermediate passes.
@@ -183,7 +184,7 @@ int main() {
   bench_report.Write();
   std::printf(
       "\nbounded = peak buffer never exceeds sort_buffer_bytes + one\n"
-      "record; external output is byte-identical to in-memory by the\n"
+      "record; bounded output is byte-identical to unbounded by the\n"
       "merge's (key, sequence) tie-break (DESIGN.md §12).\n");
   return 0;
 }

@@ -16,9 +16,9 @@
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/input_format.h"
 #include "mapreduce/job.h"
+#include "mapreduce/map_loop.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "serde/predicate.h"
 
 namespace colmr {
 namespace bench {
@@ -83,53 +83,13 @@ inline ScanResult ScanDataset(MiniHdfs* fs, InputFormat* format,
       std::fprintf(stderr, "CreateRecordReader: %s\n", s.ToString().c_str());
       std::abort();
     }
-    // Same filter contract as the engine's map loop: a job predicate is
-    // either pre-evaluated by the reader (selection()) or applied
-    // row-wise here, so ScanDataset measures the identical record stream.
-    const Predicate* predicate = config.predicate.get();
-    if (config.batch_rows <= 1) {
-      while (reader->Next()) {
-        if (predicate != nullptr) {
-          Status eval;
-          const Tri pass =
-              EvalPredicateRow(*predicate, reader->record(), &eval);
-          Die(eval, "predicate");
-          if (pass != Tri::kTrue) continue;
-        }
-        consume(reader->record());
-        ++result.records;
-      }
-    } else {
-      uint64_t filled;
-      while ((filled = reader->FillBatch(config.batch_rows)) > 0) {
-        const std::vector<uint32_t>* selection = reader->selection();
-        if (selection != nullptr) {
-          for (const uint32_t r : *selection) {
-            consume(reader->RecordAt(r));
-          }
-          result.records += selection->size();
-        } else if (predicate != nullptr) {
-          for (uint64_t r = 0; r < filled; ++r) {
-            Record& record = reader->RecordAt(r);
-            Status eval;
-            const Tri pass = EvalPredicateRow(*predicate, record, &eval);
-            Die(eval, "predicate");
-            if (pass != Tri::kTrue) continue;
-            consume(record);
-            ++result.records;
-          }
-        } else {
-          for (uint64_t r = 0; r < filled; ++r) {
-            consume(reader->RecordAt(r));
-          }
-          result.records += filled;
-        }
-      }
-    }
-    if (!reader->status().ok()) {
-      std::fprintf(stderr, "scan: %s\n", reader->status().ToString().c_str());
-      std::abort();
-    }
+    // The engine's own map loop, so ScanDataset measures the identical
+    // record stream; a predicate error aborts.
+    Die(ForEachMappedRecord(
+            reader.get(), config.batch_rows, config.predicate.get(),
+            [] { return Status::OK(); }, consume, &result.records),
+        "predicate");
+    Die(reader->status(), "scan");
   }
   result.cpu_seconds = watch.ElapsedSeconds();
   CostModel model(fs->config());

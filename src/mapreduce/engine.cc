@@ -16,49 +16,15 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "mapreduce/committer.h"
+#include "mapreduce/map_loop.h"
 #include "mapreduce/spill.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serde/encoding.h"
-#include "serde/predicate.h"
 
 namespace colmr {
 
 namespace {
-
-/// Emitter that appends into a vector; used for both map and reduce output.
-class VectorEmitter final : public Emitter {
- public:
-  void Emit(Value key, Value value) override {
-    pairs_.emplace_back(std::move(key), std::move(value));
-  }
-  std::vector<std::pair<Value, Value>>& pairs() { return pairs_; }
-
- private:
-  std::vector<std::pair<Value, Value>> pairs_;
-};
-
-/// Folds runs of equal keys in key-sorted `pairs` through `fn` (combiner or
-/// reducer). The run's values vector is reused across runs and the output
-/// reserved up front, so folding costs no per-run allocations beyond what
-/// the Values themselves own.
-void FoldSortedRuns(std::vector<std::pair<Value, Value>>* pairs,
-                    const ReduceFn& fn, VectorEmitter* out) {
-  out->pairs().reserve(pairs->size());
-  std::vector<Value> values;
-  size_t i = 0;
-  while (i < pairs->size()) {
-    size_t j = i;
-    values.clear();
-    while (j < pairs->size() &&
-           (*pairs)[j].first.Compare((*pairs)[i].first) == 0) {
-      values.push_back(std::move((*pairs)[j].second));
-      ++j;
-    }
-    fn((*pairs)[i].first, values, out);
-    i = j;
-  }
-}
 
 /// Admission control faithful to the simulated cluster: at most
 /// map_slots_per_node tasks execute concurrently on any node, whatever the
@@ -110,9 +76,9 @@ struct ReduceTaskResult {
   std::vector<std::pair<Value, Value>> pairs;
   double cpu_seconds = 0;
   uint64_t input_records = 0;
-  /// Run segments this reducer's final merge consumed (external shuffle).
+  /// Run segments this reducer's merge consumed.
   uint64_t segments_merged = 0;
-  /// External shuffle: a spill-read failure in this partition's merge.
+  /// A spill-read failure in this partition's merge.
   Status status;
 };
 
@@ -222,16 +188,16 @@ struct TaskControl {
 
 /// Everything one map task hands back to the merge step. Each task owns
 /// its TaskReport (and the IoStats inside it) exclusively while running;
-/// nothing is written to shared sinks until the join. Exactly one of
-/// `pairs` (in-memory shuffle) and `runs` (external shuffle) is used.
+/// nothing is written to shared sinks until the join. A map-only job's
+/// output lands in `pairs`, a reduce job's in `runs`.
 struct JobRunner::MapTaskResult {
   TaskReport task;
   std::vector<std::pair<Value, Value>> pairs;
   std::vector<SpillRun> runs;
+  /// Tagged bytes of the task's (post-combine) output.
+  uint64_t output_bytes = 0;
   uint64_t spills = 0;
   uint64_t spilled_bytes = 0;
-  uint64_t records_spilled = 0;
-  uint64_t kv_bytes_spilled = 0;
   uint64_t peak_buffer_bytes = 0;
   Status status;
 };
@@ -347,27 +313,26 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
     prefetch_pool = std::make_unique<ThreadPool>(2);
   }
 
-  // ---- External sort-merge shuffle setup (DESIGN.md §12). The reducer
-  // count is fixed before any map task runs because the external path
-  // partitions at emit time. Map-only jobs have no shuffle to externalize,
-  // so sort_buffer_bytes is ignored for them.
+  // ---- Sort-merge shuffle setup (DESIGN.md §12). The reducer count is
+  // fixed before any map task runs because map output is partitioned at
+  // emit time. Map-only jobs have no shuffle, so sort_buffer_bytes is
+  // ignored for them.
   const int num_reducers =
       job.reducer ? (job.config.num_reduce_tasks > 0
                          ? job.config.num_reduce_tasks
                          : fs_->config().num_nodes *
                                fs_->config().reduce_slots_per_node)
                   : 0;
-  const bool external_shuffle =
-      job.config.sort_buffer_bytes > 0 && job.reducer != nullptr;
-  if (external_shuffle && GetCodec(job.config.spill_codec) == nullptr) {
+  if (job.reducer && GetCodec(job.config.spill_codec) == nullptr) {
     return Status::InvalidArgument("unknown spill codec");
   }
   // Spill scratch: with a committer, runs live inside the task attempt's
-  // _temporary scratch (CommitJob/AbortJob tear them down with it); a job
-  // with no output path gets a private /_shuffle directory, removed on
-  // every exit path by the guard below.
+  // _temporary scratch (CommitJob/AbortJob tear them down with it); a
+  // reduce job with no output path gets a private /_shuffle directory,
+  // removed on every exit path by the guard below. Resident runs never
+  // write there.
   std::string scratch_root;
-  if (external_shuffle && committer == nullptr) {
+  if (job.reducer && committer == nullptr) {
     static std::atomic<uint64_t> scratch_seq{0};
     scratch_root = "/_shuffle/job-" + std::to_string(scratch_seq.fetch_add(1));
   }
@@ -505,12 +470,14 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
     Status status = job.input_format->CreateRecordReader(
         fs_, job.config, splits[i], context, &reader);
     if (status.ok()) {
-      // External shuffle: the task's emitter is a bounded sort buffer that
-      // spills sorted runs into this attempt's private scratch. Spill
+      // A reduce job's map output goes into the sort buffer: bounded, it
+      // spills sorted runs into this attempt's private scratch (spill
       // writes draw from their own fault-salt domain, so injected write
-      // faults hit spills and output writes independently.
+      // faults hit spills and output writes independently); unbounded, it
+      // keeps one resident run. A map-only job's output is collected as is.
       std::unique_ptr<MapOutputBuffer> spill_buffer;
-      if (external_shuffle) {
+      VectorEmitter map_only_out;
+      if (job.reducer) {
         MapOutputBuffer::Options opts;
         opts.fs = fs_;
         opts.scratch_dir = spill_dir(i, attempt);
@@ -528,120 +495,43 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
         opts.trace = trace;
         spill_buffer = std::make_unique<MapOutputBuffer>(std::move(opts));
       }
-      // Per-attempt wall-clock deadline (task_timeout_ms) and supersede
-      // polling. Both checks are cheap but not free (a steady_clock read,
-      // an atomic load), so the scalar loop polls every 64 records and
-      // the batch loop once per batch. `interrupted` leaves the abort
-      // reason in abort_status.
+      Emitter* map_out =
+          spill_buffer != nullptr ? static_cast<Emitter*>(spill_buffer.get())
+                                  : &map_only_out;
+      // Stops the attempt past its wall-clock deadline (task_timeout_ms),
+      // once another attempt recorded the task, or after a spill write
+      // failed (the buffer is sticky-bad; mapping on would only drop
+      // output, so the attempt fails into the retry path).
       const double timeout_seconds = job.config.task_timeout_ms > 0
                                          ? job.config.task_timeout_ms / 1e3
                                          : 0;
-      const bool poll = timeout_seconds > 0 || superseded != nullptr ||
-                        spill_buffer != nullptr;
       Stopwatch attempt_watch;
-      Status abort_status;
-      auto interrupted = [&]() -> bool {
-        if (!poll) return false;
+      auto poll = [&]() -> Status {
         if (superseded != nullptr &&
             superseded->load(std::memory_order_relaxed)) {
-          abort_status = Status::IoError("attempt superseded: task " +
-                                         std::to_string(i) +
-                                         " already has a recorded result");
-          return true;
+          return Status::IoError("attempt superseded: task " +
+                                 std::to_string(i) +
+                                 " already has a recorded result");
         }
         if (spill_buffer != nullptr && !spill_buffer->status().ok()) {
-          // A spill write failed; the buffer is sticky-bad and mapping on
-          // would only drop output. Fail the attempt into the retry path.
-          abort_status = spill_buffer->status();
-          return true;
+          return spill_buffer->status();
         }
         if (timeout_seconds > 0 &&
             attempt_watch.ElapsedSeconds() > timeout_seconds) {
-          abort_status = Status::IoError(
+          return Status::IoError(
               "task " + std::to_string(i) + " attempt " +
               std::to_string(attempt) + " exceeded task_timeout_ms=" +
               std::to_string(job.config.task_timeout_ms));
-          return true;
         }
-        return false;
+        return Status::OK();
       };
-      VectorEmitter emitter;
-      Emitter* map_out =
-          spill_buffer != nullptr ? static_cast<Emitter*>(spill_buffer.get())
-                                  : &emitter;
       ThreadCpuStopwatch watch;
-      // Predicate filter (DESIGN.md §13): rows reach the mapper only when
-      // the job predicate is TRUE. The format may have evaluated it
-      // already (selection()); otherwise the engine filters row-wise
-      // here, so output is identical with pushdown on or off.
-      const Predicate* predicate = job.config.predicate.get();
-      if (job.config.batch_rows <= 1) {
-        // Scalar path, bit-for-bit the pre-batch engine.
-        uint64_t tick = 0;
-        while (reader->Next()) {
-          if ((++tick & 63) == 0 && interrupted()) break;
-          if (predicate != nullptr) {
-            Status eval;
-            const Tri pass = EvalPredicateRow(*predicate, reader->record(),
-                                              &eval);
-            if (!eval.ok()) {
-              abort_status = eval;
-              break;
-            }
-            if (pass != Tri::kTrue) continue;
-          }
-          job.mapper(reader->record(), map_out);
-          ++task->input_records;
-        }
-      } else {
-        uint64_t filled;
-        while ((filled = reader->FillBatch(job.config.batch_rows)) > 0) {
-          if (interrupted()) break;
-          const std::vector<uint32_t>* selection = reader->selection();
-          if (selection != nullptr) {
-            for (const uint32_t r : *selection) {
-              job.mapper(reader->RecordAt(r), map_out);
-            }
-            task->input_records += selection->size();
-          } else if (predicate != nullptr) {
-            Status eval;
-            for (uint64_t r = 0; r < filled; ++r) {
-              Record& record = reader->RecordAt(r);
-              const Tri pass = EvalPredicateRow(*predicate, record, &eval);
-              if (!eval.ok()) break;
-              if (pass != Tri::kTrue) continue;
-              job.mapper(record, map_out);
-              ++task->input_records;
-            }
-            if (!eval.ok()) {
-              abort_status = eval;
-              break;
-            }
-          } else {
-            for (uint64_t r = 0; r < filled; ++r) {
-              job.mapper(reader->RecordAt(r), map_out);
-            }
-            task->input_records += filled;
-          }
-        }
-      }
-      // Map-side combine (in-memory path; the spill buffer combines at
-      // spill time instead): sort this task's output, fold runs of equal
-      // keys through the combiner, and ship the (usually much smaller)
-      // result.
-      if (abort_status.ok() && spill_buffer == nullptr && job.combiner &&
-          !emitter.pairs().empty()) {
-        auto& all = emitter.pairs();
-        std::stable_sort(all.begin(), all.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first.Compare(b.first) < 0;
-                         });
-        VectorEmitter combined;
-        FoldSortedRuns(&all, job.combiner, &combined);
-        all = std::move(combined.pairs());
-      }
-      // External shuffle: spill the buffer's tail inside the CPU window —
-      // the final sort is map work like the in-memory combine above.
+      Status abort_status = ForEachMappedRecord(
+          reader.get(), job.config.batch_rows, job.config.predicate.get(),
+          poll, [&](Record& record) { job.mapper(record, map_out); },
+          &task->input_records);
+      // The buffer's last sort and spill, or its resident run, is map work
+      // inside the CPU window.
       if (abort_status.ok() && spill_buffer != nullptr) {
         abort_status = spill_buffer->Finish();
       }
@@ -649,15 +539,18 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
       status = abort_status.ok() ? reader->status() : abort_status;
       if (spill_buffer != nullptr) {
         out->runs = spill_buffer->TakeRuns();
+        out->output_bytes = spill_buffer->output_kv_bytes();
         out->spills = spill_buffer->spills();
         out->spilled_bytes = spill_buffer->spilled_bytes();
-        out->records_spilled = spill_buffer->records_spilled();
-        out->kv_bytes_spilled = spill_buffer->kv_bytes_spilled();
         out->peak_buffer_bytes = spill_buffer->peak_buffer_bytes();
-        task->output_records = spill_buffer->records_spilled();
+        task->output_records = spill_buffer->output_records();
       } else {
-        task->output_records = emitter.pairs().size();
-        out->pairs = std::move(emitter.pairs());
+        for (const auto& [key, value] : map_only_out.pairs()) {
+          out->output_bytes +=
+              TaggedEncodedSize(key) + TaggedEncodedSize(value);
+        }
+        task->output_records = map_only_out.pairs().size();
+        out->pairs = std::move(map_only_out.pairs());
       }
       if (task_span.active()) {
         task_span.AddArg("input_records", task->input_records);
@@ -891,9 +784,9 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
     }
     report->checksum_failures += result.task.io.checksum_failures;
     report->failover_reads += result.task.io.failover_reads;
-    // Spill-write faults of every attempt, winning or not (the in-memory
-    // map path writes nothing, so this is zero there); reduce-output
-    // faults are added where those writes happen.
+    // Spill-write faults of every attempt, winning or not (zero when no
+    // task spilled); reduce-output faults are added where those writes
+    // happen.
     report->write_faults += result.task.io.write_faults;
   }
   report->blacklisted_nodes = retry.blacklisted();
@@ -903,10 +796,6 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
   // map output (and everything derived from it) is byte-identical to the
   // serial engine's.
   std::vector<std::pair<Value, Value>> map_output;
-  // External shuffle: winning tasks' runs, in (split, spill) order — the
-  // global sequence order the merge's tie-break reproduces stable sorting
-  // with.
-  std::vector<SpillRun> all_runs;
   std::vector<double> task_times;
   task_times.reserve(splits.size());
   for (MapTaskResult& result : results) {
@@ -916,6 +805,7 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
 
     report->map_input_records += task.input_records;
     report->map_output_records += task.output_records;
+    report->map_output_bytes += result.output_bytes;
     report->bytes_read_local += task.io.local_bytes;
     report->bytes_read_remote += task.io.remote_bytes;
     report->map_cpu_seconds += task.cpu_seconds;
@@ -925,22 +815,11 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
       report->remote_tasks += 1;
     }
 
-    if (external_shuffle) {
-      // Post-spill-combine tagged bytes: the external analog of the
-      // in-memory sum below (which also measures post-combine pairs).
-      report->map_output_bytes += result.kv_bytes_spilled;
-      report->spill_count += result.spills;
-      report->spill_bytes += result.spilled_bytes;
-      report->peak_spill_buffer_bytes = std::max(
-          report->peak_spill_buffer_bytes, result.peak_buffer_bytes);
-      for (SpillRun& run : result.runs) all_runs.push_back(std::move(run));
-    } else {
-      for (auto& pair : result.pairs) {
-        report->map_output_bytes +=
-            TaggedEncodedSize(pair.first) + TaggedEncodedSize(pair.second);
-        map_output.push_back(std::move(pair));
-      }
-    }
+    report->spill_count += result.spills;
+    report->spill_bytes += result.spilled_bytes;
+    report->peak_spill_buffer_bytes =
+        std::max(report->peak_spill_buffer_bytes, result.peak_buffer_bytes);
+    for (auto& pair : result.pairs) map_output.push_back(std::move(pair));
     report->map_tasks.push_back(std::move(task));
   }
   report->map_phase_seconds = cost_model_.MapPhaseSeconds(task_times);
@@ -955,23 +834,32 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
 
   // ---- Shuffle + reduce (skipped for map-only jobs).
   if (job.reducer) {
-    std::vector<std::vector<std::pair<Value, Value>>> partitions;
+    // ---- Shuffle (DESIGN.md §12): collect the winning tasks' runs in
+    // (split, spill) order — the global sequence order the merge's
+    // tie-break reproduces stable sorting with. While more runs exist
+    // than merge_factor (io.sort.factor), intermediate passes merge
+    // contiguous groups of merge_factor runs into one run each, which
+    // keeps that order. A write fault during a merge retries the group
+    // with a fresh salt and path, like any other write attempt. Resident
+    // runs skip the passes: they hold no files open to bound, and a
+    // retried group would re-read segments its first attempt consumed.
+    Counter* m_merge_segments = metrics->counter("mr.spill.merge_segments");
     std::vector<SpillRun> final_runs;
-    if (external_shuffle) {
-      // ---- Intermediate merge passes (io.sort.factor): while more runs
-      // exist than merge_factor, merge contiguous groups of merge_factor
-      // runs into one run each. Contiguous grouping preserves the global
-      // sequence order, so the final merge's tie-break semantics are
-      // unchanged. A write fault during a merge retries the group with a
-      // fresh salt and path, like any other write attempt.
-      final_runs = std::move(all_runs);
+    {
+      ScopedSpan shuffle_span(trace, "shuffle", "mr");
+      for (MapTaskResult& result : results) {
+        for (SpillRun& run : result.runs) final_runs.push_back(std::move(run));
+      }
+      if (shuffle_span.active()) {
+        shuffle_span.AddArg("runs", static_cast<uint64_t>(final_runs.size()));
+      }
       const size_t merge_factor =
           static_cast<size_t>(std::max(2, job.config.merge_factor));
       Counter* m_merge_passes = metrics->counter("mr.spill.merge_passes");
-      Counter* m_merge_segments = metrics->counter("mr.spill.merge_segments");
       const int write_attempts = std::max(1, job.config.max_task_attempts);
       int pass = 0;
-      while (final_runs.size() > merge_factor) {
+      while (job.config.sort_buffer_bytes > 0 &&
+             final_runs.size() > merge_factor) {
         std::vector<SpillRun> next;
         for (size_t g = 0; g * merge_factor < final_runs.size(); ++g) {
           const size_t begin = g * merge_factor;
@@ -1041,24 +929,9 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
       for (const SpillRun& run : final_runs) {
         report->shuffle_bytes += run.TotalKvBytes();
       }
-    } else {
-      // Partition by the stable key hash, then sort each partition
-      // (Hadoop's sort-merge shuffle, collapsed to an in-memory sort).
-      // Partition contents keep map-output order, so the per-partition
-      // stable sort is deterministic too.
-      partitions.resize(static_cast<size_t>(num_reducers));
-      ScopedSpan shuffle_span(trace, "shuffle", "mr");
-      for (auto& pair : map_output) {
-        const uint32_t p = ShufflePartition(
-            pair.first, static_cast<uint32_t>(num_reducers));
-        partitions[p].push_back(std::move(pair));
-      }
       if (shuffle_span.active()) {
-        shuffle_span.AddArg("partitions",
-                            static_cast<uint64_t>(partitions.size()));
-        shuffle_span.AddArg("bytes", report->map_output_bytes);
+        shuffle_span.AddArg("bytes", report->shuffle_bytes);
       }
-      report->shuffle_bytes = report->map_output_bytes;
     }
     metrics->counter("mr.shuffle.bytes")->Increment(report->shuffle_bytes);
 
@@ -1071,55 +944,44 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
       ThreadCpuStopwatch watch;
       VectorEmitter emitter;
       uint64_t input_records = 0;
-      if (external_shuffle) {
-        // Stream this partition through a heap merge over every final
-        // run — the partition never materializes as a vector. Groups of
-        // equal keys fold through the reducer as they drain off the heap;
-        // the merge order equals the stable sort the in-memory path does,
-        // so the reducer sees identical (key, [values]) calls.
-        SpillMerger merger;
-        for (size_t r = 0; r < final_runs.size(); ++r) {
-          if (final_runs[r].segments[p].records == 0) continue;
-          ReadContext rctx;
-          rctx.metrics = metrics;
-          rctx.trace = trace;
-          std::unique_ptr<SpillSegmentCursor> cursor;
-          Status open_status = SpillSegmentCursor::Open(
-              fs_, final_runs[r], static_cast<int>(p), rctx, &cursor);
-          if (!open_status.ok()) {
-            reduced[p].status = open_status;
-            return;
-          }
-          merger.Add(std::move(cursor), r);
-          reduced[p].segments_merged += 1;
-        }
-        Value group_key;
-        std::vector<Value> group_values;
-        while (merger.Next()) {
-          ++input_records;
-          if (!group_values.empty() &&
-              merger.key().Compare(group_key) != 0) {
-            job.reducer(group_key, group_values, &emitter);
-            group_values.clear();
-          }
-          if (group_values.empty()) group_key = merger.key();
-          group_values.push_back(merger.value());
-        }
-        if (!merger.status().ok()) {
-          reduced[p].status = merger.status();
+      // Stream this partition through a heap merge over every final run —
+      // the partition never materializes as one vector. Groups of equal
+      // keys fold through the reducer as they drain off the heap; the merge
+      // order equals a stable sort of the concatenated map output, so the
+      // reducer sees the same (key, [values]) calls at every buffer size.
+      SpillMerger merger;
+      for (size_t r = 0; r < final_runs.size(); ++r) {
+        if (final_runs[r].segments[p].records == 0) continue;
+        ReadContext rctx;
+        rctx.metrics = metrics;
+        rctx.trace = trace;
+        std::unique_ptr<SpillSegmentCursor> cursor;
+        Status open_status = SpillSegmentCursor::Open(
+            fs_, final_runs[r], static_cast<int>(p), rctx, &cursor);
+        if (!open_status.ok()) {
+          reduced[p].status = open_status;
           return;
         }
-        if (!group_values.empty()) {
+        merger.Add(std::move(cursor), r);
+        reduced[p].segments_merged += 1;
+      }
+      Value group_key;
+      std::vector<Value> group_values;
+      while (merger.Next()) {
+        ++input_records;
+        if (!group_values.empty() && merger.key().Compare(group_key) != 0) {
           job.reducer(group_key, group_values, &emitter);
+          group_values.clear();
         }
-      } else {
-        auto& partition = partitions[p];
-        input_records = partition.size();
-        std::stable_sort(partition.begin(), partition.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first.Compare(b.first) < 0;
-                         });
-        FoldSortedRuns(&partition, job.reducer, &emitter);
+        if (group_values.empty()) group_key = merger.key();
+        group_values.push_back(merger.value());
+      }
+      if (!merger.status().ok()) {
+        reduced[p].status = merger.status();
+        return;
+      }
+      if (!group_values.empty()) {
+        job.reducer(group_key, group_values, &emitter);
       }
       if (reduce_span.active()) {
         reduce_span.AddArg("input_records", input_records);
@@ -1142,17 +1004,13 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
     }
     // Spill-read failures surface after the pool joins, lowest partition
     // first (matching the map phase's lowest-index-failure contract).
+    uint64_t final_segments = 0;
     for (const ReduceTaskResult& result : reduced) {
       COLMR_RETURN_IF_ERROR(result.status);
+      final_segments += result.segments_merged;
     }
-    if (external_shuffle) {
-      uint64_t final_segments = 0;
-      for (const ReduceTaskResult& result : reduced) {
-        final_segments += result.segments_merged;
-      }
-      report->merge_segments += final_segments;
-      metrics->counter("mr.spill.merge_segments")->Increment(final_segments);
-    }
+    report->merge_segments += final_segments;
+    m_merge_segments->Increment(final_segments);
 
     // Materialize the reduce output as text part files through the commit
     // protocol (DESIGN.md §11) — before the merge below moves the
@@ -1273,8 +1131,7 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
 
     // Shuffle: reducers pull their partitions in parallel over the
     // network; the phase lasts as long as the largest per-reducer pull.
-    // Sized by the bytes actually shuffled (post all map-side combining),
-    // which equals map_output_bytes on the in-memory path.
+    // Sized by the bytes actually shuffled (post all map-side combining).
     const double bytes_per_reducer =
         static_cast<double>(report->shuffle_bytes) /
         std::max(1, num_reducers);

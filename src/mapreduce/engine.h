@@ -36,8 +36,10 @@ namespace colmr {
 /// up to JobConfig::max_task_attempts. Nodes accumulating
 /// node_blacklist_failures failed attempts are blacklisted for the rest
 /// of the job. DataLoss is terminal — no node can serve the bytes.
-/// Reducers run on in-memory map output (the shuffle is simulated);
-/// reduce OUTPUT is written per partition through the OutputCommitter
+/// Reducers merge the map tasks' sorted runs — resident in memory, or
+/// spilled to scratch under a bounded sort buffer (DESIGN.md §12); the
+/// shuffle's network transfer is simulated. Reduce OUTPUT is written per
+/// partition through the OutputCommitter
 /// (DESIGN.md §11): each write attempt lands in a private
 /// _temporary/attempt dir, commits via a namenode-atomic rename, and the
 /// job commit promotes every part and writes _SUCCESS — so a fault,

@@ -115,18 +115,20 @@ struct JobConfig {
   /// tasks run on a small dedicated pool the engine owns for the run.
   int prefetch_depth = 0;
 
-  // ---- External sort-merge shuffle (DESIGN.md §12) ----
+  // ---- Sort-merge shuffle (DESIGN.md §12) ----
   /// Map-side sort buffer in bytes of tagged key/value encoding — the
-  /// io.sort.mb analog. 0 (default) keeps the in-memory shuffle: every
-  /// map task's output is buffered whole and partitions materialize in
-  /// memory. Any positive value switches to the external path: the task
-  /// sorts and spills a run whenever the buffer fills, and each reduce
-  /// partition streams through a heap merge over the runs. Output is
-  /// byte-identical between the two paths.
+  /// io.sort.mb analog. Every job with a reducer shuffles through one
+  /// path: map output buffers into runs, and each reduce partition
+  /// streams through a heap merge over them. A positive value bounds the
+  /// buffer: the task sorts and spills a run to scratch storage whenever
+  /// it fills. 0 (default) leaves it unbounded: each task keeps one
+  /// resident run in memory — no spills, no storage I/O, no merge passes.
+  /// Output is byte-identical at every setting.
   uint64_t sort_buffer_bytes = 0;
-  /// Maximum runs merged in one pass (io.sort.factor analog). A task
-  /// with more runs than this merges groups of merge_factor into
-  /// intermediate runs until at most merge_factor remain. Minimum 2.
+  /// Maximum runs merged in one pass (io.sort.factor analog). While more
+  /// spilled runs exist than this, groups of merge_factor merge into
+  /// intermediate runs until at most merge_factor remain (resident runs
+  /// never do). Minimum 2.
   int merge_factor = 10;
   /// Codec spill-run blocks are stored with (Hadoop's
   /// mapreduce.map.output.compress). Applies to spill files only; it
@@ -170,8 +172,9 @@ struct Job {
   std::shared_ptr<InputFormat> input_format;
   MapFn mapper;
   ReduceFn reducer;
-  /// Map-side pre-aggregation, run over each map task's output before the
-  /// shuffle (Hadoop's Combiner). Must be algebraically compatible with
+  /// Map-side pre-aggregation, run over each spill of a map task's output
+  /// (its whole output when the sort buffer is unbounded) and at
+  /// intermediate merges (Hadoop's Combiner). Must be algebraically compatible with
   /// the reducer (same key/value types in and out).
   ReduceFn combiner;
 };
@@ -246,10 +249,9 @@ struct JobReport {
   // ---- their layout and meaning) ----
   /// Bytes actually crossing the shuffle: the tagged-encoding size of
   /// every (key, value) pair entering the reduce merge, *after* all
-  /// map-side combining. Equal to map_output_bytes when the shuffle is
-  /// in-memory (combining happened before both are measured); on the
-  /// external path merge-time combining can shrink it further, so
-  /// shuffle_bytes <= map_output_bytes always holds.
+  /// map-side combining. Equal to map_output_bytes unless an intermediate
+  /// merge pass combined further (never with an unbounded sort buffer),
+  /// so shuffle_bytes <= map_output_bytes always holds.
   uint64_t shuffle_bytes = 0;
   /// Records entering each reduce partition, indexed by partition.
   std::vector<uint64_t> reduce_input_records;
@@ -272,19 +274,21 @@ struct JobReport {
   /// then retried on another node).
   uint64_t write_retries = 0;
 
-  // ---- External sort-merge shuffle (appended; zero when
-  // ---- sort_buffer_bytes == 0) ----
+  // ---- Sort-merge shuffle (appended). With an unbounded sort buffer
+  // ---- (sort_buffer_bytes == 0) runs stay resident, so spill_count,
+  // ---- spill_bytes and merge_passes are 0 ----
   /// Sorted runs spilled by map tasks (winning attempts only).
   uint64_t spill_count = 0;
   /// File bytes across those runs (framing and compression included).
   uint64_t spill_bytes = 0;
   /// Intermediate merge passes taken to respect merge_factor.
   uint64_t merge_passes = 0;
-  /// Run segments consumed by merges: intermediate passes plus the final
-  /// reduce-side merge.
+  /// Run segments consumed by merges, resident or spilled: intermediate
+  /// passes plus the final reduce-side merge.
   uint64_t merge_segments = 0;
   /// Largest tagged-byte occupancy any task's sort buffer reached — the
-  /// bounded-memory evidence (at most sort_buffer_bytes + one record).
+  /// bounded-memory evidence (at most sort_buffer_bytes + one record);
+  /// with an unbounded buffer, the largest task's whole output.
   uint64_t peak_spill_buffer_bytes = 0;
 };
 

@@ -21,20 +21,6 @@ namespace {
 /// blocks frame records, they never split one.
 constexpr size_t kSpillBlockBytes = 64 * 1024;
 
-/// Collects combiner output. The combiner contract here matches the
-/// in-memory path: outputs are re-emitted as ordinary pairs.
-class VectorEmitter final : public Emitter {
- public:
-  explicit VectorEmitter(std::vector<std::pair<Value, Value>>* out)
-      : out_(out) {}
-  void Emit(Value key, Value value) override {
-    out_->emplace_back(std::move(key), std::move(value));
-  }
-
- private:
-  std::vector<std::pair<Value, Value>>* out_;
-};
-
 }  // namespace
 
 uint32_t ShufflePartition(const Value& key, uint32_t num_partitions) {
@@ -151,13 +137,24 @@ Status SpillSegmentCursor::Open(MiniHdfs* fs, const SpillRun& run,
   if (partition < 0 || partition >= static_cast<int>(run.segments.size())) {
     return Status::InvalidArgument("spill: partition out of range");
   }
+  const SpillSegment& segment = run.segments[static_cast<size_t>(partition)];
+  if (run.resident != nullptr) {
+    // This cursor is the segment's one consumer, so it sorts the segment
+    // in place — stably, keeping equal keys in emit order as a spill does.
+    Pair* begin = run.resident->data() + segment.offset;
+    Pair* end = begin + segment.records;
+    std::stable_sort(begin, end, [](const Pair& a, const Pair& b) {
+      return a.first.Compare(b.first) < 0;
+    });
+    cursor->reset(new SpillSegmentCursor(begin, end));
+    return Status::OK();
+  }
   if (GetCodec(run.codec) == nullptr) {
     return Status::Corruption("spill: unknown codec in run");
   }
   std::unique_ptr<FileReader> reader;
   COLMR_RETURN_IF_ERROR(fs->Open(run.path, context, &reader));
-  cursor->reset(new SpillSegmentCursor(
-      std::move(reader), run, run.segments[static_cast<size_t>(partition)]));
+  cursor->reset(new SpillSegmentCursor(std::move(reader), run, segment));
   return Status::OK();
 }
 
@@ -215,6 +212,13 @@ bool SpillSegmentCursor::FillBlock() {
 }
 
 bool SpillSegmentCursor::Next() {
+  if (reader_ == nullptr) {  // resident: move the next pair out
+    if (next_pair_ == end_pair_) return false;
+    key_ = std::move(next_pair_->first);
+    value_ = std::move(next_pair_->second);
+    ++next_pair_;
+    return true;
+  }
   if (!status_.ok()) return false;
   if (cursor_.empty() && !FillBlock()) return false;
 
@@ -302,8 +306,7 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
   COLMR_RETURN_IF_ERROR(SpillRunWriter::Open(fs, path, write_ctx, codec,
                                              num_partitions, &writer));
   uint64_t merged = 0;
-  std::vector<std::pair<Value, Value>> combined;
-  VectorEmitter combined_out(&combined);
+  VectorEmitter combined;
   for (int p = 0; p < num_partitions; ++p) {
     SpillMerger merger;
     for (size_t i = 0; i < runs.size(); ++i) {
@@ -328,9 +331,9 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
     std::vector<Value> group_values;
     auto flush_group = [&]() -> Status {
       if (group_values.empty()) return Status::OK();
-      combined.clear();
-      (*combiner)(group_key, group_values, &combined_out);
-      for (auto& [k, v] : combined) {
+      combined.pairs().clear();
+      (*combiner)(group_key, group_values, &combined);
+      for (auto& [k, v] : combined.pairs()) {
         COLMR_RETURN_IF_ERROR(writer->Append(p, k, v));
       }
       group_values.clear();
@@ -366,70 +369,68 @@ void MapOutputBuffer::Emit(Value key, Value value) {
   peak_buffer_bytes_ = std::max(peak_buffer_bytes_, buffer_bytes_);
   entries_.push_back(
       BufferedPair{partition, std::move(key), std::move(value)});
-  if (buffer_bytes_ >= options_.sort_buffer_bytes) {
+  if (options_.sort_buffer_bytes > 0 &&
+      buffer_bytes_ >= options_.sort_buffer_bytes) {
     status_ = SortAndSpill();
   }
 }
 
 Status MapOutputBuffer::Finish() {
-  if (status_.ok() && !entries_.empty()) status_ = SortAndSpill();
+  if (!status_.ok() || entries_.empty()) return status_;
+  if (options_.sort_buffer_bytes > 0) {
+    status_ = SortAndSpill();
+  } else {
+    KeepResident();
+  }
   return status_;
 }
 
-Status MapOutputBuffer::SortAndSpill() {
-  if (entries_.empty()) return Status::OK();
-  ScopedSpan span(options_.trace, "spill", "mr");
-  span.AddArg("records_in", static_cast<uint64_t>(entries_.size()));
-
+void MapOutputBuffer::SortAndCombine() {
   // The sort whose stability the whole determinism argument leans on:
   // equal (partition, key) entries keep emission order, so every run is
   // a contiguous slice of the stable sort of this task's output.
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const BufferedPair& a, const BufferedPair& b) {
-                     if (a.partition != b.partition) {
-                       return a.partition < b.partition;
-                     }
-                     return a.key.Compare(b.key) < 0;
-                   });
+  auto by_partition_key = [](const BufferedPair& a, const BufferedPair& b) {
+    if (a.partition != b.partition) return a.partition < b.partition;
+    return a.key.Compare(b.key) < 0;
+  };
+  std::stable_sort(entries_.begin(), entries_.end(), by_partition_key);
+  if (options_.combiner == nullptr) return;
 
-  if (options_.combiner != nullptr) {
-    // Fold each (partition, key) group through the combiner — Hadoop's
-    // spill-time combine. Outputs are re-partitioned by their own key and
-    // re-sorted, exactly as the in-memory path treats combiner output.
-    std::vector<BufferedPair> folded;
-    std::vector<std::pair<Value, Value>> outputs;
-    VectorEmitter out(&outputs);
-    size_t i = 0;
-    std::vector<Value> group_values;
-    while (i < entries_.size()) {
-      size_t j = i + 1;
-      while (j < entries_.size() &&
-             entries_[j].partition == entries_[i].partition &&
-             entries_[j].key.Compare(entries_[i].key) == 0) {
-        ++j;
-      }
-      group_values.clear();
-      for (size_t g = i; g < j; ++g) {
-        group_values.push_back(std::move(entries_[g].value));
-      }
-      outputs.clear();
-      (*options_.combiner)(entries_[i].key, group_values, &out);
-      for (auto& [k, v] : outputs) {
-        const uint32_t partition = ShufflePartition(
-            k, static_cast<uint32_t>(options_.num_partitions));
-        folded.push_back(BufferedPair{partition, std::move(k), std::move(v)});
-      }
-      i = j;
+  // Fold each (partition, key) group through the combiner — Hadoop's
+  // spill-time combine. Outputs are re-partitioned by their own key and
+  // re-sorted.
+  std::vector<BufferedPair> folded;
+  VectorEmitter out;
+  size_t i = 0;
+  std::vector<Value> group_values;
+  while (i < entries_.size()) {
+    size_t j = i + 1;
+    while (j < entries_.size() &&
+           entries_[j].partition == entries_[i].partition &&
+           entries_[j].key.Compare(entries_[i].key) == 0) {
+      ++j;
     }
-    std::stable_sort(folded.begin(), folded.end(),
-                     [](const BufferedPair& a, const BufferedPair& b) {
-                       if (a.partition != b.partition) {
-                         return a.partition < b.partition;
-                       }
-                       return a.key.Compare(b.key) < 0;
-                     });
-    entries_ = std::move(folded);
+    group_values.clear();
+    for (size_t g = i; g < j; ++g) {
+      group_values.push_back(std::move(entries_[g].value));
+    }
+    out.pairs().clear();
+    (*options_.combiner)(entries_[i].key, group_values, &out);
+    for (auto& [k, v] : out.pairs()) {
+      const uint32_t partition = ShufflePartition(
+          k, static_cast<uint32_t>(options_.num_partitions));
+      folded.push_back(BufferedPair{partition, std::move(k), std::move(v)});
+    }
+    i = j;
   }
+  std::stable_sort(folded.begin(), folded.end(), by_partition_key);
+  entries_ = std::move(folded);
+}
+
+Status MapOutputBuffer::SortAndSpill() {
+  ScopedSpan span(options_.trace, "spill", "mr");
+  span.AddArg("records_in", static_cast<uint64_t>(entries_.size()));
+  SortAndCombine();
 
   const std::string path =
       options_.scratch_dir + "/spill-" + std::to_string(spills_);
@@ -447,8 +448,8 @@ Status MapOutputBuffer::SortAndSpill() {
   spills_ += 1;
   const uint64_t file_bytes = run.TotalBytes();
   spilled_bytes_ += file_bytes;
-  kv_bytes_spilled_ += run.TotalKvBytes();
-  records_spilled_ += static_cast<uint64_t>(entries_.size());
+  output_kv_bytes_ += run.TotalKvBytes();
+  output_records_ += static_cast<uint64_t>(entries_.size());
   m_spill_count_->Increment();
   m_spill_bytes_->Increment(file_bytes);
   span.AddArg("records_out", static_cast<uint64_t>(entries_.size()));
@@ -458,6 +459,39 @@ Status MapOutputBuffer::SortAndSpill() {
   entries_.clear();
   buffer_bytes_ = 0;
   return Status::OK();
+}
+
+void MapOutputBuffer::KeepResident() {
+  // No storage to bound, so no sort here: one counting pass groups the
+  // pairs by partition in emit order, and the reducer that owns each
+  // segment sorts it, in parallel with the other reducers. A combiner
+  // needs its key groups, so it folds a sorted buffer first.
+  if (options_.combiner != nullptr) SortAndCombine();
+  SpillRun run;
+  run.segments.resize(static_cast<size_t>(options_.num_partitions));
+  for (const BufferedPair& e : entries_) {
+    SpillSegment& segment = run.segments[e.partition];
+    segment.records += 1;
+    segment.kv_bytes += TaggedEncodedSize(e.key) + TaggedEncodedSize(e.value);
+  }
+  std::vector<uint64_t> next(run.segments.size());
+  uint64_t offset = 0;
+  for (size_t p = 0; p < run.segments.size(); ++p) {
+    run.segments[p].offset = next[p] = offset;
+    offset += run.segments[p].records;
+  }
+  run.resident =
+      std::make_unique<std::vector<std::pair<Value, Value>>>(entries_.size());
+  for (BufferedPair& e : entries_) {
+    auto& [key, value] = (*run.resident)[next[e.partition]++];
+    key = std::move(e.key);
+    value = std::move(e.value);
+  }
+  output_records_ += static_cast<uint64_t>(entries_.size());
+  output_kv_bytes_ += run.TotalKvBytes();
+  runs_.push_back(std::move(run));
+  entries_.clear();
+  buffer_bytes_ = 0;
 }
 
 }  // namespace colmr

@@ -20,13 +20,14 @@ class MetricsRegistry;
 class Counter;
 class TraceCollector;
 
-// External sort-merge shuffle (DESIGN.md §12) — the bounded-memory spill
-// path Hadoop calls the map-side sort (io.sort.mb / io.sort.factor). A map
-// task accumulates output pairs up to JobConfig::sort_buffer_bytes, sorts
-// the buffer by (partition, key), optionally folds it through the
-// combiner, and writes one *run* file; the reduce side streams each
-// partition through a heap-based k-way merge over every run instead of
-// materializing the partition in memory.
+// Sort-merge shuffle (DESIGN.md §12) — Hadoop's map-side sort (io.sort.mb /
+// io.sort.factor), the one path every job with a reducer takes. A map
+// task's output goes into a MapOutputBuffer. Bounded
+// (JobConfig::sort_buffer_bytes > 0), the buffer sorts by (partition, key)
+// whenever it fills, optionally folds through the combiner, and writes one
+// *run* file; unbounded (0), it never spills and leaves one *resident* run
+// in memory. The reduce side streams each partition through a heap-based
+// k-way merge over every run instead of materializing the partition.
 //
 // Run file byte layout (all integers varint/fixed little-endian per
 // common/coding.h):
@@ -47,9 +48,23 @@ class TraceCollector;
 // that partition's byte range. Segment offsets/lengths live in the
 // in-memory SpillRun — runs are job-transient scratch, re-created from
 // scratch by any re-run, so nothing needs to be recoverable from the file
-// alone. Within a run each segment is key-sorted (ties keep buffer order);
-// the merge layer restores the global stable order via sequence-numbered
-// cursors (see SpillMerger).
+// alone. Within a run file each segment is key-sorted (ties keep buffer
+// order); a resident segment keeps emit order until the reducer that owns
+// it sorts it the same way. The merge layer restores the global stable
+// order via sequence-numbered cursors (see SpillMerger).
+
+/// Emitter that appends into a vector: map-only job output, reducer output
+/// and combiner output.
+class VectorEmitter final : public Emitter {
+ public:
+  void Emit(Value key, Value value) override {
+    pairs_.emplace_back(std::move(key), std::move(value));
+  }
+  std::vector<std::pair<Value, Value>>& pairs() { return pairs_; }
+
+ private:
+  std::vector<std::pair<Value, Value>> pairs_;
+};
 
 /// Seed of the stable shuffle partitioner. Fixed; changing it reassigns
 /// every key to a new partition and is an output-format break (the
@@ -62,23 +77,29 @@ inline constexpr uint64_t kShufflePartitionSeed = 0x636f6c6d72736866ull;
 /// implemented in spill.cc next to the run format it feeds.
 uint32_t ShufflePartition(const Value& key, uint32_t num_partitions);
 
-/// One partition's byte range inside a run file.
+/// One partition's range inside a run: bytes of a run file, or pairs of a
+/// resident run.
 struct SpillSegment {
-  uint64_t offset = 0;    // first byte of the segment in the file
-  uint64_t bytes = 0;     // stored length (framing + stored blocks)
+  uint64_t offset = 0;    // first byte in the file; first pair if resident
+  uint64_t bytes = 0;     // stored length (framing + blocks); 0 if resident
   uint64_t records = 0;   // KV records in the segment
   /// Tagged-encoding bytes of the segment's keys+values (excluding the
   /// record length prefixes and block framing): the unit map_output_bytes
-  /// and shuffle_bytes are accounted in, so in-memory and external runs
+  /// and shuffle_bytes are accounted in, so resident and spilled runs
   /// report comparable byte counts.
   uint64_t kv_bytes = 0;
 };
 
-/// One sorted, partitioned run on scratch storage.
+/// One partitioned run: a sorted file on scratch storage, or resident.
 struct SpillRun {
-  std::string path;
+  std::string path;  // empty when resident
   CodecType codec = CodecType::kNone;
   std::vector<SpillSegment> segments;  // indexed by partition
+  /// A resident run's pairs, grouped by partition in emit order; null for
+  /// a run file. Each segment has exactly one consumer, which sorts and
+  /// drains it in place (SpillSegmentCursor::Open), so concurrent
+  /// reducers touch disjoint ranges and a resident run is read only once.
+  std::unique_ptr<std::vector<std::pair<Value, Value>>> resident;
 
   uint64_t TotalBytes() const {
     uint64_t total = 0;
@@ -129,10 +150,11 @@ class SpillRunWriter {
   Buffer stored_;        // compression scratch
 };
 
-/// Streams the records of one partition's segment out of a run file,
-/// block by block — memory held is one block's raw + stored bytes,
-/// never the segment. CRC mismatches and truncation surface as
-/// Corruption through status().
+/// Streams the records of one partition's segment. From a run file it
+/// reads block by block — memory held is one block's raw + stored bytes,
+/// never the segment — and CRC mismatches and truncation surface as
+/// Corruption through status(). A resident segment is stable-sorted by
+/// key at Open and drained by moving its pairs out.
 class SpillSegmentCursor {
  public:
   static Status Open(MiniHdfs* fs, const SpillRun& run, int partition,
@@ -149,18 +171,24 @@ class SpillSegmentCursor {
   const Status& status() const { return status_; }
 
  private:
+  using Pair = std::pair<Value, Value>;
+
   SpillSegmentCursor(std::unique_ptr<FileReader> reader, const SpillRun& run,
                      const SpillSegment& segment);
+  SpillSegmentCursor(Pair* begin, Pair* end)
+      : next_pair_(begin), end_pair_(end) {}
 
   bool FillBlock();  // loads the next block into cursor_
 
-  std::unique_ptr<FileReader> reader_;
-  const Codec* codec_;
-  uint64_t pos_;  // next unread file offset
-  uint64_t end_;  // one past the segment's last byte
+  std::unique_ptr<FileReader> reader_;  // null for a resident segment
+  const Codec* codec_ = nullptr;
+  uint64_t pos_ = 0;  // next unread file offset
+  uint64_t end_ = 0;  // one past the segment's last byte
   std::string stored_;
   Buffer raw_;
   Slice cursor_;  // unread bytes of the current block
+  Pair* next_pair_ = nullptr;  // resident: the unread pairs
+  Pair* end_pair_ = nullptr;
   Value key_;
   Value value_;
   Status status_;
@@ -170,8 +198,8 @@ class SpillSegmentCursor {
 /// (key ascending, sequence ascending, in-cursor position) — with
 /// sequence numbers assigned in (map task, spill index) order this is
 /// exactly the order a stable sort of the concatenated map output gives,
-/// which is what makes external output byte-identical to the in-memory
-/// path (DESIGN.md §12 determinism argument).
+/// which is what makes output byte-identical at every sort buffer size
+/// (DESIGN.md §12 determinism argument).
 class SpillMerger {
  public:
   /// Takes ownership. Cursors must not have been advanced yet.
@@ -217,9 +245,10 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
 
 /// The map-side accumulator: an Emitter that buffers (partition, key,
 /// value) triples up to `sort_buffer_bytes` of tagged-encoding payload,
-/// then sorts, combines, and spills a run. Spill I/O errors latch into
-/// status() and make further Emits no-ops, so the map loop can poll and
-/// abort the attempt — mirroring FileWriter's sticky-failure contract.
+/// then sorts, combines, and spills a run; at 0 the buffer is unbounded
+/// and never spills. Spill I/O errors latch into status() and make
+/// further Emits no-ops, so the map loop can poll and abort the attempt —
+/// mirroring FileWriter's sticky-failure contract.
 class MapOutputBuffer final : public Emitter {
  public:
   struct Options {
@@ -229,7 +258,7 @@ class MapOutputBuffer final : public Emitter {
     std::string scratch_dir;
     WriteContext write_context;
     int num_partitions = 1;
-    uint64_t sort_buffer_bytes = 0;
+    uint64_t sort_buffer_bytes = 0;  // 0 = unbounded
     const ReduceFn* combiner = nullptr;  // may be null
     CodecType codec = CodecType::kNone;
     MetricsRegistry* metrics = nullptr;  // resolved; never null
@@ -240,8 +269,9 @@ class MapOutputBuffer final : public Emitter {
 
   void Emit(Value key, Value value) override;
 
-  /// Spills whatever the buffer still holds (so every task that emitted
-  /// anything owns at least one run). Returns the sticky error, if any.
+  /// Spills whatever the buffer still holds — or, unbounded, turns it into
+  /// one resident run — so every task that emitted anything owns at least
+  /// one run. Returns the sticky error, if any.
   Status Finish();
 
   const Status& status() const { return status_; }
@@ -250,12 +280,13 @@ class MapOutputBuffer final : public Emitter {
   uint64_t spills() const { return spills_; }
   /// File bytes written across runs (framing + compression included).
   uint64_t spilled_bytes() const { return spilled_bytes_; }
-  /// Post-combine records / tagged KV bytes across runs — the external
-  /// path's map-output accounting.
-  uint64_t records_spilled() const { return records_spilled_; }
-  uint64_t kv_bytes_spilled() const { return kv_bytes_spilled_; }
-  /// High-water mark of buffered tagged bytes: the bounded-memory claim.
-  /// At most sort_buffer_bytes plus one record.
+  /// Post-combine records / tagged KV bytes across all runs — the task's
+  /// map-output accounting.
+  uint64_t output_records() const { return output_records_; }
+  uint64_t output_kv_bytes() const { return output_kv_bytes_; }
+  /// High-water mark of buffered tagged bytes: the bounded-memory claim,
+  /// at most sort_buffer_bytes plus one record (the whole output when
+  /// unbounded).
   uint64_t peak_buffer_bytes() const { return peak_buffer_bytes_; }
 
  private:
@@ -265,7 +296,12 @@ class MapOutputBuffer final : public Emitter {
     Value value;
   };
 
+  /// Stable-sorts the buffer by (partition, key), then folds it through
+  /// the combiner, if any.
+  void SortAndCombine();
   Status SortAndSpill();
+  /// Unbounded Finish(): the buffer becomes one resident run.
+  void KeepResident();
 
   Options options_;
   std::vector<BufferedPair> entries_;
@@ -274,8 +310,8 @@ class MapOutputBuffer final : public Emitter {
   std::vector<SpillRun> runs_;
   uint64_t spills_ = 0;
   uint64_t spilled_bytes_ = 0;
-  uint64_t records_spilled_ = 0;
-  uint64_t kv_bytes_spilled_ = 0;
+  uint64_t output_records_ = 0;
+  uint64_t output_kv_bytes_ = 0;
   Status status_;
   Counter* m_spill_count_;
   Counter* m_spill_bytes_;

@@ -455,10 +455,12 @@ TEST(EngineObservabilityTest, PrivateRegistryIsolatesJobCounters) {
 }
 
 std::string RunTracedJob(MiniHdfs* fs, const std::string& output_path,
+                         uint64_t sort_buffer_bytes,
                          std::vector<ParsedEvent>* events) {
   TraceCollector collector;
   Job job = MicroScanJob();
   job.config.output_path = output_path;  // exercises the output.write span
+  job.config.sort_buffer_bytes = sort_buffer_bytes;
   job.config.trace = &collector;
   JobRunner runner(fs);
   JobReport report;
@@ -468,71 +470,92 @@ std::string RunTracedJob(MiniHdfs* fs, const std::string& output_path,
   return json;
 }
 
+// Runs the job with an unbounded sort buffer (resident runs) and a small
+// bounded one (spills and merge passes): the one shuffle path gives both
+// the same span tree.
 TEST(EngineObservabilityTest, SpansNestAndAreDeterministicAtParallelism1) {
   auto fs = WriteMicroDataset(1200, 0.0, false);
+  for (const uint64_t sort_buffer : {uint64_t{0}, uint64_t{256}}) {
+    SCOPED_TRACE(sort_buffer);
+    const std::string tag = std::to_string(sort_buffer);
+    std::vector<ParsedEvent> first, second;
+    const std::string json =
+        RunTracedJob(fs.get(), "/out1-" + tag, sort_buffer, &first);
+    RunTracedJob(fs.get(), "/out2-" + tag, sort_buffer, &second);
 
-  std::vector<ParsedEvent> first, second;
-  const std::string json = RunTracedJob(fs.get(), "/out1", &first);
-  RunTracedJob(fs.get(), "/out2", &second);
+    std::string error;
+    ASSERT_TRUE(ValidateJson(json, &error)) << error;
 
-  std::string error;
-  ASSERT_TRUE(ValidateJson(json, &error)) << error;
-
-  // Determinism: identical span-name sequences across identical runs.
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].name, second[i].name) << "event " << i;
-    EXPECT_EQ(first[i].tid, second[i].tid) << "event " << i;
-  }
-  // Serial execution stays on one track.
-  for (const ParsedEvent& event : first) EXPECT_EQ(event.tid, 1);
-
-  auto find = [&first](const std::string& name) -> const ParsedEvent* {
-    for (const ParsedEvent& event : first) {
-      if (event.name == name) return &event;
+    // Determinism: identical span-name sequences across identical runs.
+    ASSERT_EQ(first.size(), second.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(first[i].name, second[i].name) << "event " << i;
+      EXPECT_EQ(first[i].tid, second[i].tid) << "event " << i;
     }
-    return nullptr;
-  };
-  const ParsedEvent* job_span = find("job");
-  const ParsedEvent* plan = find("plan.splits");
-  const ParsedEvent* map_phase = find("map_phase");
-  const ParsedEvent* map_task = find("map_task");
-  const ParsedEvent* hdfs_read = find("hdfs.read");
-  const ParsedEvent* shuffle = find("shuffle");
-  const ParsedEvent* reduce_phase = find("reduce_phase");
-  const ParsedEvent* reduce_task = find("reduce_task");
-  const ParsedEvent* output_write = find("output.write");
-  ASSERT_NE(job_span, nullptr);
-  ASSERT_NE(plan, nullptr);
-  ASSERT_NE(map_phase, nullptr);
-  ASSERT_NE(map_task, nullptr);
-  ASSERT_NE(hdfs_read, nullptr);
-  ASSERT_NE(shuffle, nullptr);
-  ASSERT_NE(reduce_phase, nullptr);
-  ASSERT_NE(reduce_task, nullptr);
-  ASSERT_NE(output_write, nullptr);
+    // Serial execution stays on one track.
+    for (const ParsedEvent& event : first) EXPECT_EQ(event.tid, 1);
 
-  // The span tree: job ⊇ {plan.splits, map_phase ⊇ map_task, shuffle,
-  // reduce_phase ⊇ reduce_task, output.write}.
-  EXPECT_TRUE(job_span->Contains(*plan));
-  EXPECT_TRUE(job_span->Contains(*map_phase));
-  EXPECT_TRUE(map_phase->Contains(*map_task));
-  EXPECT_TRUE(job_span->Contains(*shuffle));
-  EXPECT_TRUE(job_span->Contains(*reduce_phase));
-  EXPECT_TRUE(reduce_phase->Contains(*reduce_task));
-  EXPECT_TRUE(job_span->Contains(*output_write));
-  EXPECT_EQ(hdfs_read->cat, "hdfs");
-  // Some hdfs.read lands inside a map task (the column scan itself).
-  bool read_in_task = false;
-  for (const ParsedEvent& event : first) {
-    if (event.name != "hdfs.read") continue;
-    for (const ParsedEvent& task : first) {
-      if (task.name == "map_task" && task.Contains(event)) {
-        read_in_task = true;
+    auto find = [&first](const std::string& name) -> const ParsedEvent* {
+      for (const ParsedEvent& event : first) {
+        if (event.name == name) return &event;
+      }
+      return nullptr;
+    };
+    const ParsedEvent* job_span = find("job");
+    const ParsedEvent* plan = find("plan.splits");
+    const ParsedEvent* map_phase = find("map_phase");
+    const ParsedEvent* map_task = find("map_task");
+    const ParsedEvent* hdfs_read = find("hdfs.read");
+    const ParsedEvent* shuffle = find("shuffle");
+    const ParsedEvent* reduce_phase = find("reduce_phase");
+    const ParsedEvent* reduce_task = find("reduce_task");
+    const ParsedEvent* output_write = find("output.write");
+    ASSERT_NE(job_span, nullptr);
+    ASSERT_NE(plan, nullptr);
+    ASSERT_NE(map_phase, nullptr);
+    ASSERT_NE(map_task, nullptr);
+    ASSERT_NE(hdfs_read, nullptr);
+    ASSERT_NE(shuffle, nullptr);
+    ASSERT_NE(reduce_phase, nullptr);
+    ASSERT_NE(reduce_task, nullptr);
+    ASSERT_NE(output_write, nullptr);
+
+    // The span tree: job ⊇ {plan.splits, map_phase ⊇ map_task, shuffle,
+    // reduce_phase ⊇ reduce_task, output.write}.
+    EXPECT_TRUE(job_span->Contains(*plan));
+    EXPECT_TRUE(job_span->Contains(*map_phase));
+    EXPECT_TRUE(map_phase->Contains(*map_task));
+    EXPECT_TRUE(job_span->Contains(*shuffle));
+    EXPECT_TRUE(job_span->Contains(*reduce_phase));
+    EXPECT_TRUE(reduce_phase->Contains(*reduce_task));
+    EXPECT_TRUE(job_span->Contains(*output_write));
+    EXPECT_EQ(hdfs_read->cat, "hdfs");
+    // Some hdfs.read lands inside a map task (the column scan itself).
+    bool read_in_task = false;
+    for (const ParsedEvent& event : first) {
+      if (event.name != "hdfs.read") continue;
+      for (const ParsedEvent& task : first) {
+        if (task.name == "map_task" && task.Contains(event)) {
+          read_in_task = true;
+        }
       }
     }
+    EXPECT_TRUE(read_in_task);
+
+    // Only the bounded buffer spills (inside its map task) and takes merge
+    // passes, which run inside the shuffle span.
+    const ParsedEvent* spill = find("spill");
+    const ParsedEvent* merge = find("merge");
+    if (sort_buffer == 0) {
+      EXPECT_EQ(spill, nullptr);
+      EXPECT_EQ(merge, nullptr);
+    } else {
+      ASSERT_NE(spill, nullptr);
+      ASSERT_NE(merge, nullptr);
+      EXPECT_TRUE(map_task->Contains(*spill));
+      EXPECT_TRUE(shuffle->Contains(*merge));
+    }
   }
-  EXPECT_TRUE(read_in_task);
 }
 
 TEST(EngineObservabilityTest, TracePathWritesLoadableFile) {

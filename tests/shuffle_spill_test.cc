@@ -1,10 +1,13 @@
-// External sort-merge shuffle (DESIGN.md §12). The load-bearing invariant:
-// a job's output is byte-for-byte identical whether the shuffle runs
-// in-memory (sort_buffer_bytes == 0) or through the bounded-memory
-// spill/merge path — across parallelism, combiner on/off, spill codecs,
-// merge factors, and injected write faults. On top of that, the spill
-// accounting (spill_count, merge_passes, peak_spill_buffer_bytes) must
-// demonstrate that memory actually stayed bounded.
+// Sort-merge shuffle (DESIGN.md §12). Every job with a reducer takes one
+// path: map output buffers into runs — resident in memory when
+// sort_buffer_bytes == 0, spilled to scratch storage otherwise — and
+// reducers k-way merge them. The load-bearing invariant: a job's output is
+// byte-for-byte the word count an independent oracle computes from the
+// input, at every buffer size and across parallelism, combiner on/off,
+// spill codecs, merge factors, and injected write faults. On top of that,
+// the spill accounting (spill_count, merge_passes, peak_spill_buffer_bytes)
+// must show that a bounded buffer stayed bounded, and an unbounded one
+// must never touch storage.
 //
 // Also home of the pinned-vector tests for the stable shuffle hash: the
 // partitioner is a specified function (common/hash.h FNV-1a + splitmix64),
@@ -12,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -199,8 +204,8 @@ TEST(StableHashTest, ShufflePartitionVectorsArePinned) {
 }
 
 // ---------------------------------------------------------------------
-// Differential matrix: external output must be byte-identical to the
-// in-memory path across buffer sizes, parallelism, combiner, codec, and
+// Differential matrix: output at every buffer size must byte-match an
+// independent word-count oracle across parallelism, combiner, codec, and
 // write faults.
 // ---------------------------------------------------------------------
 
@@ -209,24 +214,43 @@ struct MatrixReference {
   std::map<std::string, std::string> files;    // committed part bytes
 };
 
-MatrixReference Baseline() {
-  auto fs = MakeFs();
-  WriteWords(fs.get(), "/in", 3, 400);
-  Job job = WordCountJob("/out", /*with_combiner=*/false);
-  job.config.parallelism = 1;
-  JobRunner runner(fs.get());
-  JobReport report;
-  EXPECT_TRUE(runner.Run(job, &report).ok());
-  return {OutputToString(report), CommittedOutput(fs.get(), "/out")};
+// The word count of WriteWords(files, words_per_file)'s input, computed
+// from the generator's arithmetic (line n is "word<n % 509> common")
+// without running a job, and rendered the way reducers emit it: partition
+// by partition (ShufflePartition), keys ascending within each; every
+// reducer commits one part file.
+MatrixReference WordCountOracle(int files, int words_per_file) {
+  std::map<std::string, int64_t> counts;
+  for (int n = 0; n < files * words_per_file; ++n) {
+    counts["word" + std::to_string(n % 509)] += 1;
+    counts["common"] += 1;
+  }
+  const ClusterConfig cluster = TestCluster();
+  const uint32_t reducers =
+      static_cast<uint32_t>(cluster.num_nodes * cluster.reduce_slots_per_node);
+  std::vector<std::string> parts(reducers);
+  for (const auto& [word, count] : counts) {
+    const Value key = Value::String(word);
+    parts[ShufflePartition(key, reducers)] +=
+        key.ToString() + '\t' + Value::Int64(count).ToString() + '\n';
+  }
+  MatrixReference reference;
+  for (uint32_t p = 0; p < reducers; ++p) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "part-r-%05u", p);
+    reference.output += parts[p];
+    reference.files[name] = parts[p];
+  }
+  return reference;
 }
 
-TEST(ShuffleSpillTest, ExternalOutputIsByteIdenticalToInMemory) {
-  const MatrixReference reference = Baseline();
+TEST(ShuffleSpillTest, OutputMatchesWordCountOracleAtEveryBufferSize) {
+  const MatrixReference reference = WordCountOracle(3, 400);
   ASSERT_FALSE(reference.output.empty());
 
   // sort_buffer_bytes: tiny (many spills per task), large enough that the
   // only spill is the Finish() flush (exactly one run per task), and 0
-  // (the in-memory control arm re-run through the same matrix).
+  // (unbounded: one resident run per task).
   const uint64_t buffers[] = {64, 1 << 20, 0};
   const int parallelisms[] = {1, 4};
   const bool combiners[] = {false, true};
@@ -280,7 +304,7 @@ TEST(ShuffleSpillTest, ExternalOutputIsByteIdenticalToInMemory) {
 }
 
 TEST(ShuffleSpillTest, SpillCodecsPreserveOutput) {
-  const MatrixReference reference = Baseline();
+  const MatrixReference reference = WordCountOracle(3, 400);
   for (CodecType codec : {CodecType::kLzf, CodecType::kZlite}) {
     SCOPED_TRACE(static_cast<int>(codec));
     auto fs = MakeFs();
@@ -299,7 +323,7 @@ TEST(ShuffleSpillTest, SpillCodecsPreserveOutput) {
 }
 
 TEST(ShuffleSpillTest, SpeculationAndBatchRowsPreserveOutput) {
-  const MatrixReference reference = Baseline();
+  const MatrixReference reference = WordCountOracle(3, 400);
   for (uint64_t batch_rows : {uint64_t{1}, uint64_t{1024}}) {
     SCOPED_TRACE(batch_rows);
     auto fs = MakeFs();
@@ -322,7 +346,7 @@ TEST(ShuffleSpillTest, SpeculationAndBatchRowsPreserveOutput) {
 // ---------------------------------------------------------------------
 
 TEST(ShuffleSpillTest, SpillsAtLeastTwicePerTaskWhenOutputExceedsBuffer) {
-  // First pass in-memory to learn the job's true map output volume. The
+  // First pass unbounded to learn the job's true map output volume. The
   // tail split of each input file is smaller than the rest, so size the
   // buffer off the smallest substantial task, not the average: every
   // eligible task's output must exceed 4x the buffer.
@@ -407,10 +431,10 @@ TEST(ShuffleSpillTest, CertainSpillFaultFailsJobCleanly) {
   EXPECT_FALSE(fs->Exists("/out"));
 }
 
-// Jobs without an output path (report-only) also take the external path;
-// their scratch lives under /_shuffle and is torn down with the run.
+// Report-only jobs (no output path) spill into a private /_shuffle scratch
+// that is torn down with the run.
 TEST(ShuffleSpillTest, ReportOnlyJobCleansScratch) {
-  const MatrixReference reference = Baseline();
+  const MatrixReference reference = WordCountOracle(3, 400);
   auto fs = MakeFs();
   WriteWords(fs.get(), "/in", 3, 400);
   Job job = WordCountJob(/*out=*/"", /*with_combiner=*/false);
@@ -422,6 +446,37 @@ TEST(ShuffleSpillTest, ReportOnlyJobCleansScratch) {
   EXPECT_EQ(OutputToString(report), reference.output);
   EXPECT_GT(report.spill_count, 0u);
   EXPECT_FALSE(fs->Exists("/_shuffle"));
+}
+
+// An unbounded buffer keeps every run resident: even with more map tasks
+// than merge_factor there are no spills, no merge passes and no storage
+// writes. Every block seal fails here, and the job never seals one.
+TEST(ShuffleSpillTest, UnboundedBufferNeverTouchesStorage) {
+  auto fs = MakeFs();
+  WriteWords(fs.get(), "/in", 3, 400);
+  const uint64_t stored_before = fs->TotalStoredBytes();
+  FaultConfig faults;
+  faults.seed = FaultSeed();
+  faults.write_error_p = 1.0;
+  fs->SetFaultConfig(faults);
+
+  Job job = WordCountJob(/*out=*/"", /*with_combiner=*/false);
+  job.config.merge_factor = 2;
+  job.config.parallelism = 4;
+  JobRunner runner(fs.get());
+  JobReport report;
+  ASSERT_TRUE(runner.Run(job, &report).ok());
+  ASSERT_GT(report.map_tasks.size(), 2u);
+  EXPECT_EQ(OutputToString(report), WordCountOracle(3, 400).output);
+  EXPECT_EQ(report.spill_count, 0u);
+  EXPECT_EQ(report.spill_bytes, 0u);
+  EXPECT_EQ(report.merge_passes, 0u);
+  EXPECT_EQ(report.write_faults, 0u);
+  EXPECT_EQ(report.shuffle_bytes, report.map_output_bytes);
+  EXPECT_EQ(fs->TotalStoredBytes(), stored_before);
+  std::vector<std::string> root;
+  ASSERT_TRUE(fs->ListDir("/", &root).ok());
+  EXPECT_EQ(std::count(root.begin(), root.end(), "_shuffle"), 0);
 }
 
 }  // namespace

@@ -37,9 +37,9 @@
 //                                               write/commit faults and
 //                                               enable the straggler
 //                                               defenses.
-//                                               --sort-buffer-kb > 0 runs
-//                                               the bounded-memory external
-//                                               sort-merge shuffle
+//                                               --sort-buffer-kb > 0 bounds
+//                                               the shuffle's sort buffer,
+//                                               so map output spills runs
 //                                               (DESIGN.md §12); codec C is
 //                                               none | lzf | zlite
 //   colmr stats <image> <dataset> [--json] [--lazy] [--project=c1,c2]
