@@ -14,13 +14,10 @@ OutputCommitter::OutputCommitter(MiniHdfs* fs, std::string output_path,
     : fs_(fs),
       output_path_(std::move(output_path)),
       faults_(fs->fault_config()),
-      trace_(trace) {
-  MetricsRegistry& registry =
-      metrics != nullptr ? *metrics : MetricsRegistry::Default();
-  m_task_commits_ = registry.counter("mr.commit.task");
-  m_job_commits_ = registry.counter("mr.commit.job");
-  m_aborts_ = registry.counter("mr.commit.aborts");
-}
+      trace_(trace),
+      m_job_commits_((metrics != nullptr ? *metrics
+                                         : MetricsRegistry::Default())
+                         .counter("mr.commit.job")) {}
 
 std::string OutputCommitter::TemporaryDir() const {
   return output_path_ + "/" + kTemporaryDir;
@@ -79,12 +76,10 @@ Status OutputCommitter::CommitTask(const std::string& task_id, int attempt,
   COLMR_RETURN_IF_ERROR(rename);
   *won = true;
   if (span.active()) span.AddArg("won", true);
-  m_task_commits_->Increment();
   return Status::OK();
 }
 
 Status OutputCommitter::AbortTask(const std::string& task_id, int attempt) {
-  m_aborts_->Increment();
   TraceInstant(trace_, "task_abort", "mr",
                {{"task", TraceCollector::JsonValue(task_id)},
                 {"attempt", TraceCollector::JsonValue(attempt)}});
@@ -120,7 +115,6 @@ Status OutputCommitter::CommitJob(uint64_t salt) {
 }
 
 Status OutputCommitter::AbortJob() {
-  m_aborts_->Increment();
   TraceInstant(trace_, "job_abort", "mr",
                {{"output", TraceCollector::JsonValue(output_path_)}});
   return fs_->DeleteRecursive(output_path_);

@@ -99,9 +99,7 @@ class OutputCommitter {
   FaultInjector faults_;
   TraceCollector* trace_;
   uint64_t fault_draws_ = 0;
-  Counter* m_task_commits_;
   Counter* m_job_commits_;
-  Counter* m_aborts_;
 };
 
 }  // namespace colmr

@@ -1,13 +1,9 @@
 #ifndef COLMR_MAPREDUCE_ENGINE_H_
 #define COLMR_MAPREDUCE_ENGINE_H_
 
-#include <memory>
-#include <vector>
-
 #include "common/status.h"
 #include "hdfs/cost_model.h"
 #include "hdfs/mini_hdfs.h"
-#include "mapreduce/committer.h"
 #include "mapreduce/job.h"
 
 namespace colmr {
@@ -20,7 +16,9 @@ namespace colmr {
 /// once, and reducers run one-per-partition on the same pool. Cluster
 /// effects — locality-aware slot scheduling, local vs remote reads, the
 /// shuffle — are still simulated through the cost model, producing the
-/// "map time" and "total time" columns of the paper's Table 1.
+/// "map time" and "total time" columns of the paper's Table 1. A run goes
+/// through five phase units — plan, map, shuffle, reduce, output — each
+/// filling its own part of the JobReport (DESIGN.md §6).
 ///
 /// Determinism: task→node assignment is computed serially in split order
 /// before any task runs, and task/partition results are merged back in
@@ -31,27 +29,18 @@ namespace colmr {
 /// counts, but the job *output* stays byte-identical: every map attempt
 /// that completes read checksum-verified bytes.
 ///
-/// Failure handling: a map attempt that fails with a retryable error is
-/// re-executed, preferring a node not yet tried (replica holders first),
-/// up to JobConfig::max_task_attempts. Nodes accumulating
-/// node_blacklist_failures failed attempts are blacklisted for the rest
-/// of the job. DataLoss is terminal — no node can serve the bytes.
-/// Reducers merge the map tasks' sorted runs — resident in memory, or
-/// spilled to scratch under a bounded sort buffer (DESIGN.md §12); the
-/// shuffle's network transfer is simulated. Reduce OUTPUT is written per
-/// partition through the OutputCommitter
-/// (DESIGN.md §11): each write attempt lands in a private
-/// _temporary/attempt dir, commits via a namenode-atomic rename, and the
-/// job commit promotes every part and writes _SUCCESS — so a fault,
-/// crash, or duplicate attempt at any instant leaves either complete
-/// output or no visible output. Output-write attempts retry across nodes
-/// under injected write faults, feeding the same blacklist.
-///
-/// Straggler defense: JobConfig::task_timeout_ms fails attempts that
-/// exceed a wall-clock deadline back into the retry machinery, and
-/// JobConfig::speculative_execution launches one backup attempt of any
-/// map task lagging well behind the completed-task median — first result
-/// recorded wins, the loser is discarded (Hadoop semantics). Output stays
+/// Failure handling: a map attempt that fails with a retryable error or
+/// exceeds JobConfig::task_timeout_ms re-runs on a node not yet tried
+/// (replica holders first), up to JobConfig::max_task_attempts. Reducers
+/// merge the map tasks' sorted runs (DESIGN.md §12); each partition's
+/// output is written through the OutputCommitter (DESIGN.md §11), whose
+/// write attempts retry across nodes the same way, so a fault, crash or
+/// duplicate attempt leaves either complete output or no visible output.
+/// Nodes accumulating node_blacklist_failures failed attempts of either
+/// kind are blacklisted for the rest of the job. DataLoss is terminal — no
+/// node can serve the bytes. JobConfig::speculative_execution launches one
+/// backup attempt of any map task lagging well behind the completed-task
+/// median; the first result recorded wins (Hadoop semantics). Output stays
 /// byte-identical across every fault × speculation × parallelism
 /// combination.
 class JobRunner {
@@ -65,38 +54,15 @@ class JobRunner {
   /// failover_reads, blacklisted_nodes) are filled even when Run fails.
   ///
   /// Observability (DESIGN.md §8): counters go to JobConfig::metrics (or
-  /// the default registry); when JobConfig::trace or trace_path is set
-  /// the run emits nested job → phase → task → hdfs.read spans, written
-  /// to trace_path as Chrome trace_event JSON on return.
+  /// the default registry). The mr/hdfs counters that mirror JobReport
+  /// fields (retries, blacklisting, speculation, records, spills, shuffle,
+  /// commits, write retries) are published from the report once, when Run
+  /// returns; the rest count live. When JobConfig::trace or trace_path is
+  /// set the run emits nested job → phase → task → hdfs.read spans,
+  /// written to trace_path as Chrome trace_event JSON on return.
   Status Run(const Job& job, JobReport* report);
 
  private:
-  struct MapTaskResult;
-
-  /// Run() minus trace lifecycle: Run wraps this in the root "job" span
-  /// and flushes the collector to JobConfig::trace_path afterwards.
-  /// RunImpl validates the job, runs the committer's SetupJob guard, and
-  /// on any phase failure aborts the job output so nothing torn stays
-  /// visible.
-  Status RunImpl(const Job& job, JobReport* report, MetricsRegistry* metrics,
-                 TraceCollector* trace);
-
-  /// The phases themselves (plan, map, shuffle, reduce, output commit);
-  /// factored out so RunImpl can wrap every early return in the
-  /// abort-on-failure protocol. `committer` is null when the job has no
-  /// output path.
-  Status ExecutePhases(const Job& job, JobReport* report,
-                       MetricsRegistry* metrics, TraceCollector* trace,
-                       OutputCommitter* committer);
-
-  /// Picks the execution node for a split: the least-loaded node holding
-  /// all of the split's files, unless it is overloaded relative to a
-  /// balanced assignment, in which case the scheduler falls back to the
-  /// globally least-loaded node and the task reads remotely — Hadoop's
-  /// "Node 1 is busy" situation from the paper's Fig. 3 discussion.
-  NodeId ScheduleSplit(const InputSplit& split, std::vector<int>* node_load,
-                       int total_splits, bool* data_local) const;
-
   MiniHdfs* fs_;
   CostModel cost_model_;
 };

@@ -194,7 +194,8 @@ struct TaskReport {
   int attempts = 1;
 };
 
-/// What Run() returns: everything Table 1 reports, plus detail.
+/// What Run() returns: everything Table 1 reports, plus detail. The only
+/// source of the mr.* counters that mirror its fields (DESIGN.md §8).
 struct JobReport {
   std::vector<TaskReport> map_tasks;
 
@@ -231,14 +232,15 @@ struct JobReport {
   int remote_tasks = 0;
 
   // ---- Failure and recovery (filled even when the job fails) ----
-  /// Map task re-executions: sum over tasks of (attempts - 1).
+  /// Map task re-executions: sum over tasks of (attempts - 1) of each
+  /// task's recorded attempt chain (a winning backup counts 0).
   uint64_t task_retries = 0;
   /// Replica reads rejected by the block checksum, summed over attempts.
   uint64_t checksum_failures = 0;
   /// Replica read attempts that failed over to another replica.
   uint64_t failover_reads = 0;
   /// Nodes the job blacklisted (>= config.node_blacklist_failures failed
-  /// attempts), ascending.
+  /// map or output-write attempts), ascending; filled after the last phase.
   std::vector<NodeId> blacklisted_nodes;
 
   /// Collected reduce output (key, value) pairs, when the job has a
@@ -277,7 +279,8 @@ struct JobReport {
   // ---- Sort-merge shuffle (appended). With an unbounded sort buffer
   // ---- (sort_buffer_bytes == 0) runs stay resident, so spill_count,
   // ---- spill_bytes and merge_passes are 0 ----
-  /// Sorted runs spilled by map tasks (winning attempts only).
+  /// Sorted runs spilled by the recorded (winning) map attempts; failed
+  /// and superseded attempts' spills are not counted.
   uint64_t spill_count = 0;
   /// File bytes across those runs (framing and compression included).
   uint64_t spill_bytes = 0;

@@ -6,7 +6,6 @@
 
 #include "common/coding.h"
 #include "common/crc32.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serde/encoding.h"
 
@@ -222,33 +221,24 @@ bool SpillSegmentCursor::Next() {
   if (!status_.ok()) return false;
   if (cursor_.empty() && !FillBlock()) return false;
 
-  uint64_t key_len = 0;
-  status_ = GetVarint64(&cursor_, &key_len);
-  if (status_.ok() && key_len > cursor_.size()) {
-    status_ = Status::Corruption("spill: record overruns block");
-  }
-  if (!status_.ok()) return false;
-  Slice key_bytes = cursor_.Prefix(key_len);
-  status_ = DecodeTaggedValue(&key_bytes, &key_);
-  if (status_.ok() && !key_bytes.empty()) {
-    status_ = Status::Corruption("spill: trailing bytes after key");
-  }
-  if (!status_.ok()) return false;
-  cursor_.RemovePrefix(key_len);
+  return DecodeField("key", &key_) && DecodeField("value", &value_);
+}
 
-  uint64_t value_len = 0;
-  status_ = GetVarint64(&cursor_, &value_len);
-  if (status_.ok() && value_len > cursor_.size()) {
+bool SpillSegmentCursor::DecodeField(const char* what, Value* out) {
+  uint64_t len = 0;
+  status_ = GetVarint64(&cursor_, &len);
+  if (status_.ok() && len > cursor_.size()) {
     status_ = Status::Corruption("spill: record overruns block");
   }
   if (!status_.ok()) return false;
-  Slice value_bytes = cursor_.Prefix(value_len);
-  status_ = DecodeTaggedValue(&value_bytes, &value_);
-  if (status_.ok() && !value_bytes.empty()) {
-    status_ = Status::Corruption("spill: trailing bytes after value");
+  Slice bytes = cursor_.Prefix(len);
+  status_ = DecodeTaggedValue(&bytes, out);
+  if (status_.ok() && !bytes.empty()) {
+    status_ = Status::Corruption(std::string("spill: trailing bytes after ") +
+                                 what);
   }
   if (!status_.ok()) return false;
-  cursor_.RemovePrefix(value_len);
+  cursor_.RemovePrefix(len);
   return true;
 }
 
@@ -264,7 +254,7 @@ bool SpillMerger::HeapAfter(const HeapEntry& a, const HeapEntry& b) {
 
 void SpillMerger::Add(std::unique_ptr<SpillSegmentCursor> cursor,
                       uint64_t sequence) {
-  pending_.emplace_back(cursor.get(), sequence);
+  Push(cursor.get(), sequence);
   owned_.push_back(std::move(cursor));
 }
 
@@ -279,11 +269,7 @@ void SpillMerger::Push(SpillSegmentCursor* cursor, uint64_t sequence) {
 
 bool SpillMerger::Next() {
   if (!status_.ok()) return false;
-  if (!primed_) {
-    primed_ = true;
-    for (const auto& [cursor, sequence] : pending_) Push(cursor, sequence);
-    pending_.clear();
-  } else if (current_ != nullptr) {
+  if (current_ != nullptr) {
     Push(current_, current_sequence_);
     current_ = nullptr;
   }
@@ -293,6 +279,25 @@ bool SpillMerger::Next() {
   current_sequence_ = heap_.back().sequence;
   heap_.pop_back();
   return true;
+}
+
+Status ForEachKeyGroup(
+    SpillMerger* merger,
+    const std::function<Status(const Value& key,
+                               const std::vector<Value>& values)>& fn) {
+  Value group_key;
+  std::vector<Value> group_values;
+  while (merger->Next()) {
+    if (!group_values.empty() && merger->key().Compare(group_key) != 0) {
+      COLMR_RETURN_IF_ERROR(fn(group_key, group_values));
+      group_values.clear();
+    }
+    if (group_values.empty()) group_key = merger->key();
+    group_values.push_back(merger->value());
+  }
+  COLMR_RETURN_IF_ERROR(merger->status());
+  if (group_values.empty()) return Status::OK();
+  return fn(group_key, group_values);
 }
 
 // ---- MergeSpillRuns ----
@@ -327,27 +332,15 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
     // Combine equal-key groups as they stream off the heap. The combiner
     // must preserve the key (Hadoop's contract), so outputs stay in this
     // partition and remain key-sorted.
-    Value group_key;
-    std::vector<Value> group_values;
-    auto flush_group = [&]() -> Status {
-      if (group_values.empty()) return Status::OK();
-      combined.pairs().clear();
-      (*combiner)(group_key, group_values, &combined);
-      for (auto& [k, v] : combined.pairs()) {
-        COLMR_RETURN_IF_ERROR(writer->Append(p, k, v));
-      }
-      group_values.clear();
-      return Status::OK();
-    };
-    while (merger.Next()) {
-      if (group_values.empty() || merger.key().Compare(group_key) != 0) {
-        COLMR_RETURN_IF_ERROR(flush_group());
-        group_key = merger.key();
-      }
-      group_values.push_back(merger.value());
-    }
-    COLMR_RETURN_IF_ERROR(merger.status());
-    COLMR_RETURN_IF_ERROR(flush_group());
+    COLMR_RETURN_IF_ERROR(ForEachKeyGroup(
+        &merger, [&](const Value& key, const std::vector<Value>& values) {
+          combined.pairs().clear();
+          (*combiner)(key, values, &combined);
+          for (auto& [k, v] : combined.pairs()) {
+            COLMR_RETURN_IF_ERROR(writer->Append(p, k, v));
+          }
+          return Status::OK();
+        }));
   }
   COLMR_RETURN_IF_ERROR(writer->Close(out));
   if (segments_merged != nullptr) *segments_merged = merged;
@@ -357,9 +350,7 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
 // ---- MapOutputBuffer ----
 
 MapOutputBuffer::MapOutputBuffer(Options options)
-    : options_(std::move(options)),
-      m_spill_count_(options_.metrics->counter("mr.spill.count")),
-      m_spill_bytes_(options_.metrics->counter("mr.spill.bytes")) {}
+    : options_(std::move(options)) {}
 
 void MapOutputBuffer::Emit(Value key, Value value) {
   if (!status_.ok()) return;  // sticky: the attempt is already doomed
@@ -450,8 +441,6 @@ Status MapOutputBuffer::SortAndSpill() {
   spilled_bytes_ += file_bytes;
   output_kv_bytes_ += run.TotalKvBytes();
   output_records_ += static_cast<uint64_t>(entries_.size());
-  m_spill_count_->Increment();
-  m_spill_bytes_->Increment(file_bytes);
   span.AddArg("records_out", static_cast<uint64_t>(entries_.size()));
   span.AddArg("bytes", file_bytes);
 

@@ -2,6 +2,7 @@
 #define COLMR_MAPREDUCE_SPILL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,8 +17,6 @@
 
 namespace colmr {
 
-class MetricsRegistry;
-class Counter;
 class TraceCollector;
 
 // Sort-merge shuffle (DESIGN.md §12) — Hadoop's map-side sort (io.sort.mb /
@@ -167,7 +166,6 @@ class SpillSegmentCursor {
 
   const Value& key() const { return key_; }
   const Value& value() const { return value_; }
-  Value* mutable_value() { return &value_; }
   const Status& status() const { return status_; }
 
  private:
@@ -179,6 +177,8 @@ class SpillSegmentCursor {
       : next_pair_(begin), end_pair_(end) {}
 
   bool FillBlock();  // loads the next block into cursor_
+  /// Decodes one length-prefixed tagged value of the record at cursor_.
+  bool DecodeField(const char* what, Value* out);
 
   std::unique_ptr<FileReader> reader_;  // null for a resident segment
   const Codec* codec_ = nullptr;
@@ -202,7 +202,8 @@ class SpillSegmentCursor {
 /// (DESIGN.md §12 determinism argument).
 class SpillMerger {
  public:
-  /// Takes ownership. Cursors must not have been advanced yet.
+  /// Takes ownership and reads the cursor's first record into the heap.
+  /// Cursors must not have been advanced yet.
   void Add(std::unique_ptr<SpillSegmentCursor> cursor, uint64_t sequence);
 
   /// Advances to the next (key, value); false when drained or on error.
@@ -224,13 +225,19 @@ class SpillMerger {
   void Push(SpillSegmentCursor* cursor, uint64_t sequence);
 
   std::vector<std::unique_ptr<SpillSegmentCursor>> owned_;
-  std::vector<std::pair<SpillSegmentCursor*, uint64_t>> pending_;
   std::vector<HeapEntry> heap_;
   SpillSegmentCursor* current_ = nullptr;
   uint64_t current_sequence_ = 0;
-  bool primed_ = false;
   Status status_;
 };
+
+/// Drains `merger`, calling fn(key, values) once per run of equal keys in
+/// merge order — the one grouping loop behind reducers and merge-time
+/// combining. Returns fn's first error, else the merger's status.
+Status ForEachKeyGroup(
+    SpillMerger* merger,
+    const std::function<Status(const Value& key,
+                               const std::vector<Value>& values)>& fn);
 
 /// Merges a group of runs (ascending sequence order) into one run at
 /// `path`, partition by partition, optionally folding equal-key groups
@@ -261,8 +268,7 @@ class MapOutputBuffer final : public Emitter {
     uint64_t sort_buffer_bytes = 0;  // 0 = unbounded
     const ReduceFn* combiner = nullptr;  // may be null
     CodecType codec = CodecType::kNone;
-    MetricsRegistry* metrics = nullptr;  // resolved; never null
-    TraceCollector* trace = nullptr;     // may be null
+    TraceCollector* trace = nullptr;  // may be null
   };
 
   explicit MapOutputBuffer(Options options);
@@ -313,8 +319,6 @@ class MapOutputBuffer final : public Emitter {
   uint64_t output_records_ = 0;
   uint64_t output_kv_bytes_ = 0;
   Status status_;
-  Counter* m_spill_count_;
-  Counter* m_spill_bytes_;
 };
 
 }  // namespace colmr

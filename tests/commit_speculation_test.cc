@@ -21,6 +21,7 @@
 #include "hdfs/fault_injector.h"
 #include "mapreduce/committer.h"
 #include "mapreduce/engine.h"
+#include "obs/metrics.h"
 
 namespace colmr {
 namespace {
@@ -227,6 +228,32 @@ TEST(CrashSafetyTest, WriteDeathFailsOverAndCommitsIdenticalOutput) {
   EXPECT_GE(report.write_faults, 1u);
   EXPECT_GE(report.write_retries, 1u);
   EXPECT_GE(report.commit_aborts, 1u);  // the torn attempt was aborted
+  EXPECT_EQ(CommittedOutput(fs.get(), "/out"), baseline);
+}
+
+// A node blacklisted by a reduce-output write failure is reported like
+// one blacklisted by map retries: in the report and in the published
+// counter. Partition 0's first write attempt runs on node 0, which dies at
+// its first block seal, and one failure is enough to blacklist a node.
+TEST(CrashSafetyTest, OutputWriteBlacklistIsReported) {
+  const auto baseline = BaselineOutput();
+  auto fs = MakeFs();
+  WriteWords(fs.get(), "/in", 3, 400);
+  FaultConfig faults;
+  faults.seed = FaultSeed();
+  faults.write_death_nodes.insert(0);
+  fs->SetFaultConfig(faults);
+
+  MetricsRegistry registry;
+  Job job = WordCountJob("/out");
+  job.config.parallelism = 1;
+  job.config.node_blacklist_failures = 1;
+  job.config.metrics = &registry;
+  JobRunner runner(fs.get());
+  JobReport report;
+  ASSERT_TRUE(runner.Run(job, &report).ok());
+  EXPECT_EQ(report.blacklisted_nodes, std::vector<NodeId>{0});
+  EXPECT_EQ(registry.Snapshot().counters.at("mr.node.blacklisted"), 1u);
   EXPECT_EQ(CommittedOutput(fs.get(), "/out"), baseline);
 }
 

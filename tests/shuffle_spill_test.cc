@@ -410,6 +410,57 @@ TEST(ShuffleSpillTest, SpillsAtLeastTwicePerTaskWhenOutputExceedsBuffer) {
             report.merge_segments);
 }
 
+// JobReport is the only source of the engine counters that mirror its
+// fields, so the two agree even when spilling attempts fail and retry:
+// only the recorded attempts' spills, bytes and records count.
+TEST(ShuffleSpillTest, PublishedCountersEqualReportUnderRetries) {
+  auto fs = MakeFs();
+  WriteWords(fs.get(), "/in", 4, 400);
+  FaultConfig faults;
+  faults.seed = FaultSeed();
+  faults.write_error_p = 0.05;
+  fs->SetFaultConfig(faults);
+
+  MetricsRegistry registry;
+  Job job = WordCountJob("/out", /*with_combiner=*/false);
+  job.config.sort_buffer_bytes = 256;
+  job.config.merge_factor = 4;
+  job.config.max_task_attempts = 12;
+  job.config.node_blacklist_failures = 100;
+  job.config.metrics = &registry;
+  JobRunner runner(fs.get());
+  JobReport report;
+  ASSERT_TRUE(runner.Run(job, &report).ok());
+  ASSERT_GT(report.task_retries, 0u);
+  EXPECT_EQ(OutputToString(report), WordCountOracle(4, 400).output);
+
+  uint64_t reduce_input_records = 0;
+  for (uint64_t n : report.reduce_input_records) reduce_input_records += n;
+  const std::map<std::string, uint64_t> published = {
+      {"mr.task.retries", report.task_retries},
+      {"mr.node.blacklisted", report.blacklisted_nodes.size()},
+      {"mr.speculative.launched", report.speculative_launched},
+      {"mr.speculative.won", report.speculative_won},
+      {"mr.speculative.lost", report.speculative_lost},
+      {"mr.map.input_records", report.map_input_records},
+      {"mr.map.output_records", report.map_output_records},
+      {"mr.spill.count", report.spill_count},
+      {"mr.spill.bytes", report.spill_bytes},
+      {"mr.spill.merge_passes", report.merge_passes},
+      {"mr.spill.merge_segments", report.merge_segments},
+      {"mr.shuffle.bytes", report.shuffle_bytes},
+      {"mr.reduce.input_records", reduce_input_records},
+      {"mr.commit.task", report.tasks_committed},
+      {"mr.commit.aborts", report.commit_aborts},
+      {"hdfs.write.retries", report.write_retries},
+  };
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  for (const auto& [name, value] : published) {
+    ASSERT_EQ(snapshot.counters.count(name), 1u) << name;
+    EXPECT_EQ(snapshot.counters.at(name), value) << name;
+  }
+}
+
 // A certain write fault on every block seal must fail the job cleanly —
 // spill I/O reaches the same sticky-failure path as output writes — and
 // leave no visible output.
@@ -477,6 +528,95 @@ TEST(ShuffleSpillTest, UnboundedBufferNeverTouchesStorage) {
   std::vector<std::string> root;
   ASSERT_TRUE(fs->ListDir("/", &root).ok());
   EXPECT_EQ(std::count(root.begin(), root.end(), "_shuffle"), 0);
+}
+
+// ---------------------------------------------------------------------
+// Run-file integrity: runs cross a storage layer, so a truncated or
+// corrupted run must fail its drain with a Status — never a crash, never
+// different records.
+// ---------------------------------------------------------------------
+
+// A record as comparable bytes: its key's and value's tagged encodings.
+std::string EncodedRecord(const Value& key, const Value& value) {
+  Buffer bytes;
+  EncodeTaggedValue(key, &bytes);
+  EncodeTaggedValue(value, &bytes);
+  return bytes.AsSlice().ToString();
+}
+
+// Drains every segment of `run` in partition order.
+Status DrainRun(MiniHdfs* fs, const SpillRun& run,
+                std::vector<std::vector<std::string>>* segments) {
+  segments->assign(run.segments.size(), {});
+  for (size_t p = 0; p < run.segments.size(); ++p) {
+    std::unique_ptr<SpillSegmentCursor> cursor;
+    COLMR_RETURN_IF_ERROR(SpillSegmentCursor::Open(
+        fs, run, static_cast<int>(p), ReadContext{}, &cursor));
+    while (cursor->Next()) {
+      (*segments)[p].push_back(EncodedRecord(cursor->key(), cursor->value()));
+    }
+    COLMR_RETURN_IF_ERROR(cursor->status());
+  }
+  return Status::OK();
+}
+
+TEST(SpillRunCorruptionTest, DamagedRunsFailOrReadBackExactly) {
+  const int kPartitions = 3;
+  for (CodecType codec : {CodecType::kNone, CodecType::kLzf,
+                          CodecType::kZlite}) {
+    SCOPED_TRACE("codec=" + std::to_string(static_cast<int>(codec)));
+    auto fs = MakeFs();
+    std::unique_ptr<SpillRunWriter> writer;
+    ASSERT_TRUE(SpillRunWriter::Open(fs.get(), "/run", WriteContext{}, codec,
+                                     kPartitions, &writer)
+                    .ok());
+    // Keys ascend within each partition; values mix kinds and lengths.
+    std::vector<std::vector<std::string>> expected(kPartitions);
+    for (int i = 0; i < 60; ++i) {
+      char key_text[16];
+      std::snprintf(key_text, sizeof(key_text), "key%03d", i);
+      const Value key = Value::String(key_text);
+      const Value value =
+          i % 3 == 0 ? Value::Int64(int64_t{i} * 1000003)
+          : i % 3 == 1 ? Value::String(std::string(static_cast<size_t>(i), 'v'))
+                       : Value::Double(i + 0.25);
+      ASSERT_TRUE(writer->Append(i / 20, key, value).ok());
+      expected[static_cast<size_t>(i / 20)].push_back(
+          EncodedRecord(key, value));
+    }
+    SpillRun run;
+    ASSERT_TRUE(writer->Close(&run).ok());
+    std::vector<std::vector<std::string>> drained;
+    ASSERT_TRUE(DrainRun(fs.get(), run, &drained).ok());
+    ASSERT_EQ(drained, expected);
+
+    // Each damaged copy of the file is drained through `run`'s segment
+    // table, as a reducer would.
+    const std::string bytes = ReadFile(fs.get(), "/run");
+    SpillRun damaged_run;
+    damaged_run.path = "/damaged";
+    damaged_run.codec = run.codec;
+    damaged_run.segments = run.segments;
+    auto check = [&](const std::string& damaged, const std::string& what) {
+      std::unique_ptr<FileWriter> file;
+      ASSERT_TRUE(fs->Create(damaged_run.path, &file).ok());
+      file->Append(damaged);
+      ASSERT_TRUE(file->Close().ok());
+      std::vector<std::vector<std::string>> got;
+      if (DrainRun(fs.get(), damaged_run, &got).ok()) {
+        EXPECT_EQ(got, expected) << what << " read back different records";
+      }
+      ASSERT_TRUE(fs->Delete(damaged_run.path).ok());
+    };
+    for (size_t length = 0; length < bytes.size(); ++length) {
+      check(bytes.substr(0, length), "truncation to " + std::to_string(length));
+    }
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ 0xFF);
+      check(flipped, "flip of byte " + std::to_string(i));
+    }
+  }
 }
 
 }  // namespace
