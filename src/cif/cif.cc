@@ -258,7 +258,7 @@ class CifRecordReader final : public RecordReader {
 
   uint64_t FillBatch(uint64_t max_rows) override {
     selection_valid_ = false;
-    if (!status_.ok() || max_rows == 0) return 0;
+    if (!status().ok() || max_rows == 0) return 0;
     if (!pending_batch_error_.ok()) {
       // A column failed mid-way through the previous batch: its good
       // prefix has been served, so the error surfaces now.
@@ -283,7 +283,7 @@ class CifRecordReader final : public RecordReader {
     batch_start_row_ = next_row;
     if (lazy_) {
       // Laziness survives batching: nothing is decoded here. Columns the
-      // map function touches decode ahead to the window end on first Get.
+      // map function touches decode ahead inside the window on Get.
       lazy_record_->SetBatchWindow(next_row, k);
       row_ += k;
       m_records_->Increment(k);
@@ -341,7 +341,7 @@ class CifRecordReader final : public RecordReader {
   }
 
   bool Next() override {
-    if (!status_.ok()) return false;
+    if (!status().ok()) return false;
     uint64_t next_row = static_cast<uint64_t>(row_ + 1);
     if (pushdown_) {
       const uint64_t target = NextUnprunedRow(next_row);
@@ -377,7 +377,12 @@ class CifRecordReader final : public RecordReader {
                          : eager_record_;
   }
 
-  Status status() const override { return status_; }
+  /// A lazy column's read error fails the task like a reader error: the
+  /// map function may have skipped the row, but the job must not succeed
+  /// without it.
+  Status status() const override {
+    return status_.ok() ? lazy_record_->status() : status_;
+  }
 
   const std::vector<uint32_t>* selection() const override {
     return selection_valid_ ? &selection_ : nullptr;

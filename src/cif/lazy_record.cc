@@ -1,5 +1,7 @@
 #include "cif/lazy_record.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 
 namespace colmr {
@@ -24,45 +26,52 @@ Status LazyRecord::Get(std::string_view name, const Value** value) {
     return Status::NotFound("field not in projection: " + std::string(name));
   }
   if (column.cached_row != cur_pos_) {
-    const bool in_window = win_rows_ > 0 && cur_pos_ >= win_start_ &&
-                           cur_pos_ < win_start_ + win_rows_;
-    const bool resident = in_window && cur_pos_ >= column.batch_start &&
-                          cur_pos_ < column.batch_start + column.batch.size();
-    if (in_window && !resident) {
-      // First touch of this column inside the batch window: skip to
-      // curPos, then decode ahead to the window's end in one call.
-      const uint64_t last_pos = column.reader->current_row();
-      if (last_pos > cur_pos_) {
-        return Status::InvalidArgument("lazy record: column past cur_pos");
-      }
-      COLMR_RETURN_IF_ERROR(column.reader->SkipRows(cur_pos_ - last_pos));
-      COLMR_RETURN_IF_ERROR(column.reader->NextBatch(
-          win_start_ + win_rows_ - cur_pos_, &column.batch));
-      column.batch_start = cur_pos_;
-    }
-    if (in_window) {
-      const size_t offset = static_cast<size_t>(cur_pos_ - column.batch_start);
-      if (column.batch.is_boxed()) {
-        column.cached_ptr = column.batch.BoxedAt(offset);
-      } else {
-        column.batch.MaterializeInto(offset, &column.cached);
-        column.cached_ptr = &column.cached;
-      }
-    } else {
-      // lastPos (reader->current_row()) lags curPos by however many
-      // records the map function never touched; skip them in one jump.
-      const uint64_t last_pos = column.reader->current_row();
-      if (last_pos > cur_pos_) {
-        return Status::InvalidArgument("lazy record: column past cur_pos");
-      }
-      COLMR_RETURN_IF_ERROR(column.reader->SkipRows(cur_pos_ - last_pos));
-      COLMR_RETURN_IF_ERROR(column.reader->ReadValue(&column.cached));
-      column.cached_ptr = &column.cached;
+    Status s = Load(&column);
+    if (!s.ok()) {
+      if (status_.ok()) status_ = s;
+      return s;
     }
     column.cached_row = cur_pos_;
     if (field_reads_ != nullptr) field_reads_->Increment();
   }
   *value = column.cached_ptr;
+  return Status::OK();
+}
+
+Status LazyRecord::Load(ColumnState* column) {
+  const uint64_t win_end = win_start_ + win_rows_;
+  const bool in_window = cur_pos_ >= win_start_ && cur_pos_ < win_end;
+  const bool resident = cur_pos_ >= column->batch_start &&
+                        cur_pos_ < column->batch_start + column->batch.size();
+  if (!resident) {
+    // lastPos (reader->current_row()) lags curPos by however many
+    // records the map function never touched; skip them in one jump.
+    const uint64_t last_pos = column->reader->current_row();
+    if (last_pos > cur_pos_) {
+      return Status::InvalidArgument("lazy record: column past cur_pos");
+    }
+    COLMR_RETURN_IF_ERROR(column->reader->SkipRows(cur_pos_ - last_pos));
+    if (!in_window) {
+      COLMR_RETURN_IF_ERROR(column->reader->ReadValue(&column->cached));
+      column->cached_ptr = &column->cached;
+      return Status::OK();
+    }
+    // Decode ahead: a touch on the row right after the previous one
+    // doubles the last length, a gap restarts at one row.
+    const bool follows = column->cached_row != UINT64_MAX &&
+                         column->cached_row + 1 == cur_pos_;
+    const uint64_t ahead = follows ? 2 * column->batch.size() : 1;
+    column->batch_start = cur_pos_;
+    COLMR_RETURN_IF_ERROR(column->reader->NextBatch(
+        std::clamp<uint64_t>(ahead, 1, win_end - cur_pos_), &column->batch));
+  }
+  const size_t offset = static_cast<size_t>(cur_pos_ - column->batch_start);
+  if (column->batch.is_boxed()) {
+    column->cached_ptr = column->batch.BoxedAt(offset);
+  } else {
+    column->batch.MaterializeInto(offset, &column->cached);
+    column->cached_ptr = &column->cached;
+  }
   return Status::OK();
 }
 

@@ -14,7 +14,14 @@ namespace colmr {
 /// Next(); each column file keeps its own lastPos (the ColumnFileReader's
 /// current row). Nothing is read or deserialized until the map function
 /// calls Get(): the column then skips curPos - lastPos rows — through its
-/// skip list if it has one — and deserializes exactly one value.
+/// skip list if it has one — and deserializes the value at curPos. Inside
+/// a batch window it may decode a few rows ahead (SetBatchWindow), but
+/// never more than twice the rows the map function touches, plus one.
+///
+/// Get() returns a column's read or decode error to the map function, and
+/// the first such error is kept: status() reports it so the RecordReader
+/// fails the task instead of dropping the rows whose Get() the map
+/// function gave up on.
 class LazyRecord final : public Record {
  public:
   /// Column readers are owned by the caller (the CIF RecordReader) and
@@ -33,27 +40,44 @@ class LazyRecord final : public Record {
   uint64_t cur_pos() const { return cur_pos_; }
 
   /// Declares the resident row window [start, start + rows) of the
-  /// enclosing batch (DESIGN.md §10). While a window is set, the first
-  /// Get() of a column inside it decodes that column in bulk to the
-  /// window's end — laziness stays column-granular (untouched columns
-  /// still skip), but a touched column pays one NextBatch instead of one
-  /// ReadValue per row. rows == 0 restores pure per-row laziness.
+  /// enclosing batch (DESIGN.md §10). While a window is set, a Get() that
+  /// falls outside its column's decoded rows decodes ahead with one
+  /// NextBatch, never past the window's end. The decode-ahead length is
+  /// per column and follows the map function's touches: it doubles when
+  /// the touch is on the row right after the previous one, and resets to
+  /// one row after any gap, whose untouched rows are crossed with
+  /// SkipRows. A column touched on every row thus decodes a window in at
+  /// most log2(rows) + 1 NextBatch calls, a sparsely touched one decodes
+  /// only the rows touched, and each column decodes at most
+  /// 2 × touched + 1 values. rows == 0 restores pure per-row laziness
+  /// (one ReadValue per Get).
   void SetBatchWindow(uint64_t start, uint64_t rows) {
     win_start_ = start;
     win_rows_ = rows;
   }
 
+  /// The first column read or decode error any Get() hit, or OK. An
+  /// unknown or unprojected field name is the caller's error, not the
+  /// column's: it fails only that Get() and is not recorded here.
+  const Status& status() const { return status_; }
+
  private:
   struct ColumnState {
     ColumnFileReader* reader = nullptr;
     Value cached;
+    /// Row of the last touch; UINT64_MAX before the first.
     uint64_t cached_row = UINT64_MAX;
     /// Points at `cached` or into `batch`; what Get() hands out.
     const Value* cached_ptr = nullptr;
-    /// Rows [batch_start, batch_start + batch.size()) decoded ahead.
+    /// Rows [batch_start, batch_start + batch.size()) decoded ahead; its
+    /// size is the decode-ahead length the next one doubles.
     ColumnBatch batch;
     uint64_t batch_start = 0;
   };
+
+  /// Points column->cached_ptr at the column's value at cur_pos_,
+  /// reading or decoding it if it is not resident.
+  Status Load(ColumnState* column);
 
   Schema::Ptr schema_;
   std::vector<ColumnState> columns_;
@@ -61,6 +85,7 @@ class LazyRecord final : public Record {
   uint64_t win_start_ = 0;
   uint64_t win_rows_ = 0;
   Counter* field_reads_ = nullptr;
+  Status status_;
 };
 
 }  // namespace colmr

@@ -455,11 +455,35 @@ std::string SerializeOutput(const JobReport& report) {
   return out;
 }
 
-// A mapper that touches a string, an int, and the map column, so every
+// Touches a string, an int, and the map column on every row, so every
 // lane of the batch (slices, ints, boxed values) feeds the output.
+void TouchEveryColumn(Record& record, Emitter* out) {
+  const int32_t i = record.GetOrDie("int0").int32_value();
+  const std::string& s = record.GetOrDie("str0").string_value();
+  const Value& m = record.GetOrDie("map0");
+  out->Emit(Value::Int64(i % 10),
+            Value::Int64(static_cast<int64_t>(s.size()) +
+                         static_cast<int64_t>(m.ToString().size())));
+}
+
+// Touches str0 on about half the rows and map0 on about a seventh, so a
+// lazy column meets both runs of touched rows and gaps between them.
+void TouchSomeColumns(Record& record, Emitter* out) {
+  const int32_t i = record.GetOrDie("int0").int32_value();
+  int64_t size = 0;
+  if (i % 2 == 0) {
+    size += static_cast<int64_t>(record.GetOrDie("str0").string_value().size());
+  }
+  if (i % 7 == 0) {
+    size += static_cast<int64_t>(record.GetOrDie("map0").ToString().size());
+  }
+  out->Emit(Value::Int64(i % 10), Value::Int64(size));
+}
+
 std::string RunMicroJob(MiniHdfs* fs, std::shared_ptr<InputFormat> format,
                         const std::string& path, bool project, bool lazy,
-                        int parallelism, uint64_t batch_rows) {
+                        const MapFn& mapper, int parallelism,
+                        uint64_t batch_rows) {
   Job job;
   job.config.input_paths = {path};
   if (project) job.config.projection = {"str0", "int0", "map0"};
@@ -467,14 +491,7 @@ std::string RunMicroJob(MiniHdfs* fs, std::shared_ptr<InputFormat> format,
   job.config.parallelism = parallelism;
   job.config.batch_rows = batch_rows;
   job.input_format = std::move(format);
-  job.mapper = [](Record& record, Emitter* out) {
-    const int32_t i = record.GetOrDie("int0").int32_value();
-    const std::string& s = record.GetOrDie("str0").string_value();
-    const Value& m = record.GetOrDie("map0");
-    out->Emit(Value::Int64(i % 10),
-              Value::Int64(static_cast<int64_t>(s.size()) +
-                           static_cast<int64_t>(m.ToString().size())));
-  };
+  job.mapper = mapper;
   job.reducer = [](const Value& key, const std::vector<Value>& values,
                    Emitter* out) {
     int64_t total = 0;
@@ -531,23 +548,28 @@ TEST(BatchJobTest, ByteIdenticalAcrossFormatsParallelismAndFaults) {
     std::string path;
     bool project;
     bool lazy;
+    MapFn mapper;
   };
   std::vector<FormatCase> formats = {
       {"cif-eager", [] { return std::make_shared<ColumnInputFormat>(); },
-       "/cif", true, false},
+       "/cif", true, false, TouchEveryColumn},
       {"cif-lazy", [] { return std::make_shared<ColumnInputFormat>(); },
-       "/cif", true, true},
+       "/cif", true, true, TouchEveryColumn},
+      // Sparse and clustered touches: lazy decode-ahead resets after gaps.
+      {"cif-lazy-sparse",
+       [] { return std::make_shared<ColumnInputFormat>(); }, "/cif", true,
+       true, TouchSomeColumns},
       {"rcfile", [] { return std::make_shared<RcFileInputFormat>(); }, "/rc",
-       true, false},
+       true, false, TouchEveryColumn},
       {"seq", [] { return std::make_shared<SeqInputFormat>(); }, "/seq",
-       false, false},
+       false, false, TouchEveryColumn},
   };
 
   for (const FormatCase& format : formats) {
     SCOPED_TRACE(format.name);
-    const std::string baseline =
-        RunMicroJob(fs.get(), format.make(), format.path, format.project,
-                    format.lazy, /*parallelism=*/1, /*batch_rows=*/1);
+    const std::string baseline = RunMicroJob(
+        fs.get(), format.make(), format.path, format.project, format.lazy,
+        format.mapper, /*parallelism=*/1, /*batch_rows=*/1);
     ASSERT_FALSE(baseline.empty());
     for (int parallelism : {1, 4}) {
       for (bool faults : {false, true}) {
@@ -563,8 +585,8 @@ TEST(BatchJobTest, ByteIdenticalAcrossFormatsParallelismAndFaults) {
                        " faults=" + std::to_string(faults) +
                        " batch_rows=" + std::to_string(batch_rows));
           EXPECT_EQ(RunMicroJob(fs.get(), format.make(), format.path,
-                                format.project, format.lazy, parallelism,
-                                batch_rows),
+                                format.project, format.lazy, format.mapper,
+                                parallelism, batch_rows),
                     baseline);
         }
         fs->SetFaultConfig(FaultConfig{});

@@ -17,6 +17,7 @@
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/job.h"
+#include "mapreduce/map_loop.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -584,12 +585,15 @@ struct SkipCounters {
   uint64_t rowgroups_skipped = 0;
   uint64_t skipped_bytes = 0;
   uint64_t records = 0;
+  uint64_t map_touches = 0;  // rows whose map0 the map function read
+  uint64_t map_decoded = 0;  // map0 values decoded
 };
 
 // Scans a CIF-SL dataset with lazy records, touching the map column only
 // for matching records — the Fig. 10 access pattern — against a private
-// registry so runs stay isolated.
-SkipCounters ScanSelective(MiniHdfs* fs) {
+// registry so runs stay isolated. batch_rows picks the map loop: 1 drives
+// Next(), larger values FillBatch/RecordAt.
+SkipCounters ScanSelective(MiniHdfs* fs, uint64_t batch_rows) {
   MetricsRegistry registry;
   ColumnInputFormat format;
   JobConfig config;
@@ -600,6 +604,7 @@ SkipCounters ScanSelective(MiniHdfs* fs) {
   EXPECT_TRUE(format.GetSplits(fs, config, &splits).ok());
   SkipCounters result;
   IoStats io;
+  uint64_t rows = 0;
   for (const InputSplit& split : splits) {
     std::unique_ptr<RecordReader> reader;
     EXPECT_TRUE(format
@@ -608,39 +613,57 @@ SkipCounters ScanSelective(MiniHdfs* fs) {
                                                     &registry, nullptr},
                                         &reader)
                     .ok());
-    while (reader->Next()) {
-      Record& record = reader->record();
-      const std::string& s = record.GetOrDie("str0").string_value();
-      if (s.rfind(kMicrobenchMatchPrefix, 0) == 0) {
-        result.records += record.GetOrDie("map0").map_entries().size();
-      }
-    }
+    EXPECT_TRUE(ForEachMappedRecord(
+                    reader.get(), batch_rows, nullptr,
+                    [] { return Status::OK(); },
+                    [&](Record& record) {
+                      const std::string& s =
+                          record.GetOrDie("str0").string_value();
+                      if (s.rfind(kMicrobenchMatchPrefix, 0) == 0) {
+                        result.records +=
+                            record.GetOrDie("map0").map_entries().size();
+                        ++result.map_touches;
+                      }
+                    },
+                    &rows)
+                    .ok());
     EXPECT_TRUE(reader->status().ok());
   }
   MetricsSnapshot snapshot = registry.Snapshot();
   result.rowgroups_skipped = snapshot.counters["cif.scan.rowgroups_skipped"];
   result.skipped_bytes = snapshot.counters["cif.scan.skipped_bytes"];
+  // str0 is decoded on every row; the rest of values_read is map0.
+  result.map_decoded = snapshot.counters["cif.scan.values_read"] - rows;
   return result;
 }
 
 TEST(Fig10CountersTest, SkipCountersFallMonotonicallyWithSelectivity) {
   // As the match fraction rises, fewer rows of the map column can be
-  // skipped, so both Figure 10 counters must fall monotonically.
+  // skipped, so both Figure 10 counters must fall monotonically. In either
+  // map loop the map column decodes at most twice the rows the map
+  // function touches, plus one: a batch window must not decode rows the
+  // map function never reads.
   const double selectivities[] = {0.01, 0.2, 0.9};
-  SkipCounters results[3];
-  for (int i = 0; i < 3; ++i) {
-    auto fs = WriteMicroDataset(6000, selectivities[i], true);
-    results[i] = ScanSelective(fs.get());
-  }
+  for (uint64_t batch_rows : {uint64_t{1}, uint64_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    SkipCounters results[3];
+    for (int i = 0; i < 3; ++i) {
+      auto fs = WriteMicroDataset(6000, selectivities[i], true);
+      results[i] = ScanSelective(fs.get(), batch_rows);
+      EXPECT_GT(results[i].map_touches, 0u) << selectivities[i];
+      EXPECT_LE(results[i].map_decoded, 2 * results[i].map_touches + 1)
+          << selectivities[i];
+    }
 
-  EXPECT_GT(results[0].rowgroups_skipped, 0u);
-  EXPECT_GT(results[0].skipped_bytes, 0u);
-  EXPECT_GE(results[0].rowgroups_skipped, results[1].rowgroups_skipped);
-  EXPECT_GE(results[1].rowgroups_skipped, results[2].rowgroups_skipped);
-  EXPECT_GT(results[0].rowgroups_skipped, results[2].rowgroups_skipped);
-  EXPECT_GE(results[0].skipped_bytes, results[1].skipped_bytes);
-  EXPECT_GE(results[1].skipped_bytes, results[2].skipped_bytes);
-  EXPECT_GT(results[0].skipped_bytes, results[2].skipped_bytes);
+    EXPECT_GT(results[0].rowgroups_skipped, 0u);
+    EXPECT_GT(results[0].skipped_bytes, 0u);
+    EXPECT_GE(results[0].rowgroups_skipped, results[1].rowgroups_skipped);
+    EXPECT_GE(results[1].rowgroups_skipped, results[2].rowgroups_skipped);
+    EXPECT_GT(results[0].rowgroups_skipped, results[2].rowgroups_skipped);
+    EXPECT_GE(results[0].skipped_bytes, results[1].skipped_bytes);
+    EXPECT_GE(results[1].skipped_bytes, results[2].skipped_bytes);
+    EXPECT_GT(results[0].skipped_bytes, results[2].skipped_bytes);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "formats/rcfile/rcfile.h"
 #include "formats/seq/seq_file.h"
 #include "hdfs/mini_hdfs.h"
+#include "mapreduce/engine.h"
 #include "mapreduce/job.h"
 #include "serde/boxed.h"
 #include "serde/encoding.h"
@@ -264,6 +265,82 @@ TEST(CorruptionTest, TruncatedColumnFilesFailCleanly) {
       }
       // Either it errored or (for cuts past all values) read everything.
       SUCCEED();
+    }
+  }
+}
+
+// A lazy column that fails mid-split must fail the job even when the
+// mapper swallows the Get() error and skips the row; otherwise the job
+// succeeds with rows silently missing. An unknown field name, by
+// contrast, fails only its own Get().
+TEST(CorruptionTest, TruncatedLazyColumnFailsTheJob) {
+  auto fs = MakeFs();
+  Schema::Ptr schema;
+  ASSERT_TRUE(
+      Schema::Parse("record R { id: int, heavy: string }", &schema).ok());
+  CofOptions options;
+  options.default_column.layout = ColumnLayout::kSkipList;
+  std::unique_ptr<CofWriter> writer;
+  ASSERT_TRUE(CofWriter::Open(fs.get(), "/lazy", schema, options, &writer)
+                  .ok());
+  Random rng(8);
+  for (int i = 0; i < 5000; ++i) {
+    const Value record = Value::Record(
+        {Value::Int32(i), Value::String(rng.NextString(20, 60))});
+    ASSERT_TRUE(writer->WriteRecord(record).ok());
+  }
+  ASSERT_TRUE(writer->Close().ok());
+  ASSERT_EQ(writer->split_count(), 1);
+
+  const auto run = [&](uint64_t batch_rows, int parallelism,
+                       JobReport* report) {
+    Job job;
+    job.config.input_paths = {"/lazy"};
+    job.config.lazy_records = true;
+    job.config.batch_rows = batch_rows;
+    job.config.parallelism = parallelism;
+    job.input_format = std::make_shared<ColumnInputFormat>();
+    job.mapper = [](Record& record, Emitter* out) {
+      const int32_t id = record.GetOrDie("id").int32_value();
+      if (id % 3 != 0) return;
+      const Value* unknown = nullptr;
+      EXPECT_TRUE(record.Get("no_such_field", &unknown).IsNotFound());
+      const Value* heavy = nullptr;
+      if (!record.Get("heavy", &heavy).ok()) return;
+      const size_t size = heavy->string_value().size();
+      out->Emit(Value::Int32(id), Value::Int64(static_cast<int64_t>(size)));
+    };
+    JobRunner runner(fs.get());
+    return runner.Run(job, report);
+  };
+
+  for (uint64_t batch_rows : {uint64_t{1}, uint64_t{1024}}) {
+    JobReport report;
+    Status s = run(batch_rows, 1, &report);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(report.output.size(), 1667u);
+  }
+
+  // Cut heavy.col at 60% of its bytes; its header still promises 5000 rows.
+  const std::string path = SplitDirName("/lazy", 0) + "/heavy.col";
+  std::unique_ptr<FileReader> reader;
+  ASSERT_TRUE(fs->Open(path, ReadContext{}, &reader).ok());
+  std::string full;
+  ASSERT_TRUE(reader->Read(0, reader->size(), &full).ok());
+  reader.reset();
+  ASSERT_TRUE(fs->Delete(path).ok());
+  std::unique_ptr<FileWriter> truncated;
+  ASSERT_TRUE(fs->Create(path, &truncated).ok());
+  truncated->Append(Slice(full.data(), full.size() * 6 / 10));
+  ASSERT_TRUE(truncated->Close().ok());
+
+  for (uint64_t batch_rows : {uint64_t{1}, uint64_t{1024}}) {
+    for (int parallelism : {1, 4}) {
+      SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows) +
+                   " parallelism=" + std::to_string(parallelism));
+      JobReport report;
+      EXPECT_FALSE(run(batch_rows, parallelism, &report).ok())
+          << "rows mapped: " << report.output.size();
     }
   }
 }
