@@ -1,17 +1,20 @@
-// Vectorized columnar scan: arena-backed batch decode (NextBatch /
-// FillBatch) versus the scalar one-value-at-a-time path, on a Fig.-8-style
-// projected scan of the Section 6.2 microbenchmark dataset stored as CIF.
+// Vectorized columnar scan: 1024-row batches (NextBatch / FillBatch)
+// versus one-row batches through the same decode path, on a
+// Fig.-8-style projected scan of the Section 6.2 microbenchmark dataset
+// stored as CIF.
 //
-// The batched path amortizes the per-value BufferedReader bookkeeping
-// (window peeks, cursor commits, virtual dispatch) over whole column
-// segments and serves strings zero-copy out of the pinned block-cache
-// window; the scalar path pays all of it per value. Each projection is
-// scanned both ways over identical bytes; `speedup` is scalar seconds /
-// batched seconds. The projected-scan rows are the headline: expect >= 2x.
+// Large batches amortize the per-call BufferedReader bookkeeping (window
+// peeks, cursor commits, virtual dispatch) over whole column segments and
+// serve strings zero-copy out of the pinned block-cache window; one-row
+// batches pay all of it per value. Each projection is scanned both ways
+// over identical bytes; `speedup` is one-row seconds / batched seconds
+// (the JSON keeps the one-row arm's historical name, `scalar_seconds`).
+// The projected-scan rows are the headline: expect >= 2x.
 //
 // CI gate: .github/workflows/ci.yml runs this bench and fails if any
-// projection's speedup drops below 1.0 (batching must never be a
-// pessimization).
+// projection's speedup drops below 0.85 or its record counts differ
+// (batching must never be a pessimization; the slack absorbs timer noise
+// on shared runners).
 
 #include <cstdio>
 #include <memory>
@@ -98,8 +101,8 @@ int main() {
   report.Config("batch_rows", kBatchRows);
   report.Config("stored_bytes", fs->TotalStoredBytes());
 
-  std::printf("=== Vectorized batch scan vs scalar (CIF, eager) ===\n");
-  std::printf("%-12s %12s %12s %9s %14s\n", "projection", "scalar(s)",
+  std::printf("=== 1024-row vs one-row batch scan (CIF, eager) ===\n");
+  std::printf("%-12s %12s %12s %9s %14s\n", "projection", "one-row(s)",
               "batched(s)", "speedup", "records=equal");
 
   ColumnInputFormat format;
@@ -111,19 +114,19 @@ int main() {
 
     // Best-of-3 per path: a scheduler hiccup must not read as a decode
     // regression.
-    double scalar_seconds = 0;
+    double one_row_seconds = 0;
     double batched_seconds = 0;
-    uint64_t scalar_records = 0;
+    uint64_t one_row_records = 0;
     uint64_t batched_records = 0;
     for (int run = 0; run < 3; ++run) {
       config.batch_rows = 1;
-      bench::ScanResult scalar = bench::ScanDataset(
+      bench::ScanResult one_row = bench::ScanDataset(
           fs.get(), &format, config,
           [&](Record& record) { sink += projection.consume(record); });
-      if (run == 0 || scalar.cpu_seconds < scalar_seconds) {
-        scalar_seconds = scalar.cpu_seconds;
+      if (run == 0 || one_row.cpu_seconds < one_row_seconds) {
+        one_row_seconds = one_row.cpu_seconds;
       }
-      scalar_records = scalar.records;
+      one_row_records = one_row.records;
 
       config.batch_rows = kBatchRows;
       bench::ScanResult batched = bench::ScanDataset(
@@ -135,22 +138,22 @@ int main() {
       batched_records = batched.records;
     }
 
-    const double speedup = scalar_seconds / batched_seconds;
+    const double speedup = one_row_seconds / batched_seconds;
     const bool records_equal =
-        scalar_records == records && batched_records == records;
+        one_row_records == records && batched_records == records;
     std::printf("%-12s %12.4f %12.4f %8.2fx %14s\n", projection.name,
-                scalar_seconds, batched_seconds, speedup,
+                one_row_seconds, batched_seconds, speedup,
                 records_equal ? "yes" : "NO");
     report.AddRow()
         .Set("projection", projection.name)
-        .Set("scalar_seconds", scalar_seconds)
+        .Set("scalar_seconds", one_row_seconds)
         .Set("batched_seconds", batched_seconds)
         .Set("speedup", speedup)
         .Set("records_equal", records_equal);
   }
   report.Write();
   std::printf(
-      "\nspeedup = scalar / batched wall time over identical bytes; the\n"
+      "\nspeedup = one-row / batched wall time over identical bytes; the\n"
       "projected rows are the Fig. 8 analogue (target >= 2x). (sink=%llu)\n",
       static_cast<unsigned long long>(sink & 0xff));
   return 0;

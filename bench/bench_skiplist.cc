@@ -35,11 +35,11 @@ Result Sweep(MiniHdfs* fs, const std::string& path, uint64_t rows,
   uint64_t sink = 0;
   Stopwatch watch;
   uint64_t row = 0;
+  ColumnBatch batch;
   while (row + stride <= rows) {
     Die(reader->SkipRows(stride - 1), "skip");
-    Value v;
-    Die(reader->ReadValue(&v), "read");
-    sink += v.map_entries().size();
+    Die(reader->NextBatch(1, &batch), "read");
+    sink += batch.BoxedAt(0)->map_entries().size();
     row += stride;
   }
   const double cpu = watch.ElapsedSeconds();

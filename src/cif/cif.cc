@@ -60,23 +60,9 @@ Status ResolveReadSet(const Schema& schema, const JobConfig& config,
   COLMR_RETURN_IF_ERROR(ResolveProjection(schema, config.projection,
                                           config.null_for_missing_columns,
                                           indices, missing));
-  if (config.predicate == nullptr) return Status::OK();
-  for (const std::string& name : PredicateColumns(*config.predicate)) {
-    const int index = schema.FieldIndex(name);
-    if (index < 0) {
-      if (missing != nullptr &&
-          std::find(missing->begin(), missing->end(), name) ==
-              missing->end()) {
-        missing->push_back(name);
-      }
-      continue;
-    }
-    if (std::find(indices->begin(), indices->end(), index) ==
-        indices->end()) {
-      indices->push_back(index);
-    }
+  if (config.predicate != nullptr) {
+    AddPredicateColumns(*config.predicate, schema, indices, missing);
   }
-  std::sort(indices->begin(), indices->end());
   return Status::OK();
 }
 
@@ -136,11 +122,10 @@ class NullPaddingRecord final : public Record {
   Value null_;
 };
 
-/// Record view over one row of the resident RowBatch (eager batch path).
+/// Record view over one row of the resident RowBatch (eager records).
 /// Get() materializes only the fields the map function touches, serving
 /// boxed values (array/map/record) by pointer straight out of the batch
-/// lane. Unprojected fields answer Null with OK, exactly like the scalar
-/// EagerRecord whose value vector defaults untouched slots to Null.
+/// lane. Unprojected fields answer Null with OK.
 class BatchRecord final : public Record {
  public:
   BatchRecord(Schema::Ptr schema, const std::vector<int>& projection,
@@ -213,7 +198,6 @@ class CifRecordReader final : public RecordReader {
         projection_(std::move(projection)),
         columns_(std::move(columns)),
         lazy_(lazy),
-        eager_record_(schema_, Value::Null()),
         trace_(trace),
         predicate_(std::move(predicate)),
         pushdown_(pushdown && predicate_ != nullptr) {
@@ -247,8 +231,6 @@ class CifRecordReader final : public RecordReader {
     batch_record_ =
         std::make_unique<BatchRecord>(schema_, projection_, &row_batch_);
     if (!missing_columns.empty()) {
-      eager_padded_ = std::make_unique<NullPaddingRecord>(&eager_record_,
-                                                          missing_columns);
       batch_padded_ = std::make_unique<NullPaddingRecord>(batch_record_.get(),
                                                           missing_columns);
       lazy_padded_ = std::make_unique<NullPaddingRecord>(
@@ -290,8 +272,8 @@ class CifRecordReader final : public RecordReader {
       return k;
     }
     // Eager: bulk-decode every projected column. On error a column stops
-    // early; serve the common prefix and surface the error that the
-    // scalar path would have hit first (lowest row, then column order).
+    // early; serve the common prefix and surface the error a row-by-row
+    // scan would have hit first (lowest row, then column order).
     uint64_t served = k;
     for (size_t p = 0; p < projection_.size(); ++p) {
       column_status_[p] = columns_[p]->NextBatch(k, &row_batch_.columns[p]);
@@ -340,42 +322,9 @@ class CifRecordReader final : public RecordReader {
                          : *batch_record_;
   }
 
-  bool Next() override {
-    if (!status().ok()) return false;
-    uint64_t next_row = static_cast<uint64_t>(row_ + 1);
-    if (pushdown_) {
-      const uint64_t target = NextUnprunedRow(next_row);
-      if (target != next_row) {
-        status_ = SkipPruned(next_row, target);
-        if (!status_.ok()) return false;
-        next_row = target;
-      }
-    }
-    if (next_row >= row_count_) return false;
-    row_ = static_cast<int64_t>(next_row);
-    m_records_->Increment();
-    if (lazy_) {
-      lazy_record_->AdvanceTo(static_cast<uint64_t>(row_));
-      return true;
-    }
-    // Eager: materialize every projected column now.
-    std::vector<Value> values(schema_->fields().size());
-    for (size_t p = 0; p < projection_.size(); ++p) {
-      status_ = columns_[p]->ReadValue(&values[projection_[p]]);
-      if (!status_.ok()) return false;
-    }
-    eager_record_ = EagerRecord(schema_, Value::Record(std::move(values)));
-    return true;
-  }
-
-  Record& record() override {
-    if (lazy_) {
-      return lazy_padded_ ? static_cast<Record&>(*lazy_padded_)
-                          : *lazy_record_;
-    }
-    return eager_padded_ ? static_cast<Record&>(*eager_padded_)
-                         : eager_record_;
-  }
+  /// Row-at-a-time callers (colmr cat, loaders) get one-row batches.
+  bool Next() override { return FillBatch(1) > 0; }
+  Record& record() override { return RecordAt(0); }
 
   /// A lazy column's read error fails the task like a reader error: the
   /// map function may have skipped the row, but the job must not succeed
@@ -463,15 +412,13 @@ class CifRecordReader final : public RecordReader {
   bool lazy_;
   uint64_t row_count_ = 0;
   int64_t row_ = -1;
-  EagerRecord eager_record_;
   TraceCollector* trace_ = nullptr;
   Counter* m_records_ = nullptr;
   std::unique_ptr<LazyRecord> lazy_record_;
-  std::unique_ptr<NullPaddingRecord> eager_padded_;
   std::unique_ptr<NullPaddingRecord> lazy_padded_;
   Status status_;
 
-  // Batch-path state (DESIGN.md §10).
+  // Eager batch state (DESIGN.md §10).
   RowBatch row_batch_;
   std::unique_ptr<BatchRecord> batch_record_;
   std::unique_ptr<NullPaddingRecord> batch_padded_;

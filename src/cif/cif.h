@@ -20,7 +20,9 @@ struct JobConfig;
 ///
 /// Configure the projection with JobConfig::projection (the paper's
 /// ColumnInputFormat.setColumns) and the record construction strategy with
-/// JobConfig::lazy_records (EagerRecord vs LazyRecord).
+/// JobConfig::lazy_records: eager records decode every projected column a
+/// batch at a time, lazy ones (LazyRecord) only the values the map
+/// function reads. Either way a one-row batch is the smallest unit.
 class ColumnInputFormat final : public InputFormat {
  public:
   std::string name() const override { return "cif"; }

@@ -1,5 +1,7 @@
 #include "cif/cof.h"
 
+#include <algorithm>
+
 #include "cif/column_format.h"
 #include "cif/column_reader.h"
 #include "formats/text/text_format.h"
@@ -123,13 +125,24 @@ Status AddColumn(MiniHdfs* fs, const std::string& base_dir,
     COLMR_RETURN_IF_ERROR(
         ColumnFileWriter::Create(fs, split_dir + "/" + column_name + ".col",
                                  column_type, column_options, &writer));
-    for (uint64_t r = 0; r < rows; ++r) {
-      std::vector<Value> values(readers.size());
+    std::vector<ColumnBatch> batches(readers.size());
+    for (uint64_t done = 0; done < rows;) {
+      const uint64_t n = std::min<uint64_t>(rows - done, 1024);
       for (size_t c = 0; c < readers.size(); ++c) {
-        COLMR_RETURN_IF_ERROR(readers[c]->ReadValue(&values[c]));
+        COLMR_RETURN_IF_ERROR(readers[c]->NextBatch(n, &batches[c]));
+        if (batches[c].size() != n) {
+          return Status::Corruption("cof: column files disagree on rows");
+        }
       }
-      COLMR_RETURN_IF_ERROR(
-          writer->Append(compute(Value::Record(std::move(values)))));
+      for (uint64_t i = 0; i < n; ++i) {
+        std::vector<Value> values(readers.size());
+        for (size_t c = 0; c < readers.size(); ++c) {
+          batches[c].MaterializeInto(i, &values[c]);
+        }
+        COLMR_RETURN_IF_ERROR(
+            writer->Append(compute(Value::Record(std::move(values)))));
+      }
+      done += n;
     }
     COLMR_RETURN_IF_ERROR(writer->Close());
 

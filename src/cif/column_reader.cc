@@ -36,19 +36,6 @@ Status DecodeWithRetry(BufferedReader* input, DecodeFn decode) {
 
 }  // namespace
 
-Status DecodeValueFromReader(const Schema& schema, BufferedReader* input,
-                             Value* out) {
-  return DecodeWithRetry(input, [&](Slice* cursor) {
-    return DecodeValue(schema, cursor, out);
-  });
-}
-
-Status SkipValueFromReader(const Schema& schema, BufferedReader* input) {
-  return DecodeWithRetry(input, [&](Slice* cursor) {
-    return SkipValue(schema, cursor);
-  });
-}
-
 Status ColumnFileReader::Open(MiniHdfs* fs, const std::string& path,
                               const ReadContext& context,
                               std::unique_ptr<ColumnFileReader>* reader) {
@@ -159,29 +146,6 @@ Status ColumnFileReader::LoadBlock() {
   return Status::OK();
 }
 
-Status ColumnFileReader::ReadDcslValue(Value* out) {
-  return DecodeWithRetry(input_.get(), [&](Slice* cursor) -> Status {
-    uint64_t count;
-    COLMR_RETURN_IF_ERROR(GetVarint64(cursor, &count));
-    COLMR_RETURN_IF_ERROR(CheckContainerCount(count, cursor->size()));
-    Value::MapEntries entries;
-    entries.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id;
-      COLMR_RETURN_IF_ERROR(GetVarint64(cursor, &id));
-      if (id >= dict_.size()) {
-        return Status::Corruption("cif column: dictionary id out of range");
-      }
-      Value v;
-      COLMR_RETURN_IF_ERROR(DecodeValue(*type_->element(), cursor, &v));
-      entries.emplace_back(dict_.Lookup(static_cast<uint32_t>(id)),
-                           std::move(v));
-    }
-    *out = Value::Map(std::move(entries));
-    return Status::OK();
-  });
-}
-
 Status ColumnFileReader::SkipOneValue() {
   switch (layout_) {
     case ColumnLayout::kDictSkipList:
@@ -196,39 +160,10 @@ Status ColumnFileReader::SkipOneValue() {
         return Status::OK();
       });
     default:
-      return SkipValueFromReader(*type_, input_.get());
+      return DecodeWithRetry(input_.get(), [&](Slice* cursor) {
+        return SkipValue(*type_, cursor);
+      });
   }
-}
-
-Status ColumnFileReader::ReadValue(Value* out) {
-  if (current_row_ >= row_count_) {
-    return Status::OutOfRange("cif column: past end");
-  }
-  switch (layout_) {
-    case ColumnLayout::kPlain:
-      COLMR_RETURN_IF_ERROR(DecodeValueFromReader(*type_, input_.get(), out));
-      break;
-    case ColumnLayout::kSkipList:
-      COLMR_RETURN_IF_ERROR(ConsumeBoundary());
-      COLMR_RETURN_IF_ERROR(DecodeValueFromReader(*type_, input_.get(), out));
-      break;
-    case ColumnLayout::kDictSkipList:
-      COLMR_RETURN_IF_ERROR(ConsumeBoundary());
-      COLMR_RETURN_IF_ERROR(ReadDcslValue(out));
-      break;
-    case ColumnLayout::kCompressedBlocks: {
-      if (!block_loaded_) {
-        COLMR_RETURN_IF_ERROR(LoadBlock());
-      }
-      COLMR_RETURN_IF_ERROR(DecodeValue(*type_, &block_cursor_, out));
-      if (--block_rows_left_ == 0) block_loaded_ = false;
-      break;
-    }
-  }
-  ++current_row_;
-  if (current_row_ % kCifSkip0 == 0) boundary_done_ = false;
-  m_values_read_->Increment();
-  return Status::OK();
 }
 
 Status ColumnFileReader::DecodeSegmentBatch(uint64_t count,

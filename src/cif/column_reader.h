@@ -14,20 +14,13 @@
 
 namespace colmr {
 
-/// Decodes one value of `schema` at the reader's cursor, growing the peek
-/// window until the value fits. Consumes exactly the value's bytes.
-Status DecodeValueFromReader(const Schema& schema, BufferedReader* input,
-                             Value* out);
-
-/// Advances the reader past one encoded value without materializing it.
-Status SkipValueFromReader(const Schema& schema, BufferedReader* input);
-
 /// Reads one CIF column file, in any of the four layouts. The reader is a
-/// cursor over rows: ReadValue() materializes the value at the current row
-/// and advances; SkipRows(n) advances without materializing — through skip
-/// blocks, whole compressed blocks, or value-by-value byte skipping,
-/// depending on the layout. This is the skip() primitive LazyRecord calls
-/// as skip(curPos - lastPos) (paper Section 5.2).
+/// cursor over rows: NextBatch(n) decodes the next n values and advances —
+/// one-row batches included, the only decode path; SkipRows(n) advances
+/// without materializing — through skip blocks, whole compressed blocks,
+/// or value-by-value byte skipping, depending on the layout. This is the
+/// skip() primitive LazyRecord calls as skip(curPos - lastPos) (paper
+/// Section 5.2).
 class ColumnFileReader {
  public:
   static Status Open(MiniHdfs* fs, const std::string& path,
@@ -37,17 +30,14 @@ class ColumnFileReader {
   ColumnFileReader(const ColumnFileReader&) = delete;
   ColumnFileReader& operator=(const ColumnFileReader&) = delete;
 
-  /// Materializes the value at the current row and advances one row.
-  Status ReadValue(Value* out);
-
   /// Batch read (DESIGN.md §10): resets *batch and fills it with the next
   /// min(n, remaining) rows, advancing the cursor past them. Plain and
   /// skip-list layouts decode straight out of the buffered window — when
   /// the window is a pinned cache block, strings are zero-copy slices
   /// into it, kept alive by the batch. Returns OK with an empty batch at
   /// end of column. On error, the batch holds the rows decoded before the
-  /// failing value (the cursor rests on it) and the status matches what
-  /// the scalar ReadValue would have returned at that row.
+  /// failing value (the cursor rests on it), and the status is the same
+  /// whatever n is: one-row batches fail where bulk ones do.
   Status NextBatch(uint64_t n, ColumnBatch* batch);
 
   /// Advances n rows (clamped to the end) without materializing values.
@@ -67,7 +57,6 @@ class ColumnFileReader {
   Status ConsumeBoundary();
   /// Block layout: reads the next block header and decompresses it.
   Status LoadBlock();
-  Status ReadDcslValue(Value* out);
   Status SkipOneValue();
   /// Batch helpers: windowed decode of `count` rows into *batch for the
   /// uncompressed layouts (plain segment / skip-list segment / DCSL

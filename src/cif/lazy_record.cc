@@ -26,8 +26,11 @@ Status LazyRecord::Get(std::string_view name, const Value** value) {
     return Status::NotFound("field not in projection: " + std::string(name));
   }
   if (column.cached_row != cur_pos_) {
+    // A failed read leaves the column reader mid-value: never read it again.
+    if (!column.error.ok()) return column.error;
     Status s = Load(&column);
     if (!s.ok()) {
+      column.error = s;
       if (status_.ok()) status_ = s;
       return s;
     }
@@ -40,22 +43,17 @@ Status LazyRecord::Get(std::string_view name, const Value** value) {
 
 Status LazyRecord::Load(ColumnState* column) {
   const uint64_t win_end = win_start_ + win_rows_;
-  const bool in_window = cur_pos_ >= win_start_ && cur_pos_ < win_end;
   const bool resident = cur_pos_ >= column->batch_start &&
                         cur_pos_ < column->batch_start + column->batch.size();
   if (!resident) {
     // lastPos (reader->current_row()) lags curPos by however many
     // records the map function never touched; skip them in one jump.
     const uint64_t last_pos = column->reader->current_row();
-    if (last_pos > cur_pos_) {
-      return Status::InvalidArgument("lazy record: column past cur_pos");
+    if (last_pos > cur_pos_ || cur_pos_ >= win_end) {
+      return Status::InvalidArgument(
+          "lazy record: cur_pos behind the column or outside the window");
     }
     COLMR_RETURN_IF_ERROR(column->reader->SkipRows(cur_pos_ - last_pos));
-    if (!in_window) {
-      COLMR_RETURN_IF_ERROR(column->reader->ReadValue(&column->cached));
-      column->cached_ptr = &column->cached;
-      return Status::OK();
-    }
     // Decode ahead: a touch on the row right after the previous one
     // doubles the last length, a gap restarts at one row.
     const bool follows = column->cached_row != UINT64_MAX &&

@@ -11,17 +11,18 @@ namespace colmr {
 
 /// Lazy record construction (paper Section 5.1, Fig. 5). The reader holds
 /// one split-level position, curPos, advanced by the RecordReader on every
-/// Next(); each column file keeps its own lastPos (the ColumnFileReader's
+/// record; each column file keeps its own lastPos (the ColumnFileReader's
 /// current row). Nothing is read or deserialized until the map function
 /// calls Get(): the column then skips curPos - lastPos rows — through its
-/// skip list if it has one — and deserializes the value at curPos. Inside
-/// a batch window it may decode a few rows ahead (SetBatchWindow), but
+/// skip list if it has one — and deserializes the value at curPos. It may
+/// decode a few rows ahead inside the batch window (SetBatchWindow), but
 /// never more than twice the rows the map function touches, plus one.
 ///
 /// Get() returns a column's read or decode error to the map function, and
 /// the first such error is kept: status() reports it so the RecordReader
 /// fails the task instead of dropping the rows whose Get() the map
-/// function gave up on.
+/// function gave up on. A column that failed keeps failing; the others
+/// stay readable.
 class LazyRecord final : public Record {
  public:
   /// Column readers are owned by the caller (the CIF RecordReader) and
@@ -35,22 +36,22 @@ class LazyRecord final : public Record {
   const Schema& schema() const override { return *schema_; }
   Status Get(std::string_view name, const Value** value) override;
 
-  /// Advances the split-level position. Does no I/O.
+  /// Advances the split-level position within the window. Does no I/O.
   void AdvanceTo(uint64_t row) { cur_pos_ = row; }
   uint64_t cur_pos() const { return cur_pos_; }
 
   /// Declares the resident row window [start, start + rows) of the
-  /// enclosing batch (DESIGN.md §10). While a window is set, a Get() that
-  /// falls outside its column's decoded rows decodes ahead with one
-  /// NextBatch, never past the window's end. The decode-ahead length is
+  /// enclosing batch (DESIGN.md §10); the reader sets one before every
+  /// AdvanceTo, one-row batches included. A Get() that falls outside its
+  /// column's decoded rows decodes ahead with one NextBatch, never past
+  /// the window's end. The decode-ahead length is
   /// per column and follows the map function's touches: it doubles when
   /// the touch is on the row right after the previous one, and resets to
   /// one row after any gap, whose untouched rows are crossed with
   /// SkipRows. A column touched on every row thus decodes a window in at
   /// most log2(rows) + 1 NextBatch calls, a sparsely touched one decodes
   /// only the rows touched, and each column decodes at most
-  /// 2 × touched + 1 values. rows == 0 restores pure per-row laziness
-  /// (one ReadValue per Get).
+  /// 2 × touched + 1 values.
   void SetBatchWindow(uint64_t start, uint64_t rows) {
     win_start_ = start;
     win_rows_ = rows;
@@ -73,6 +74,9 @@ class LazyRecord final : public Record {
     /// size is the decode-ahead length the next one doubles.
     ColumnBatch batch;
     uint64_t batch_start = 0;
+    /// The column's first read or decode error; every later Get() of it
+    /// returns this.
+    Status error;
   };
 
   /// Points column->cached_ptr at the column's value at cur_pos_,

@@ -2,6 +2,7 @@
 
 #include "formats/text/text_format.h"
 #include "mapreduce/job.h"
+#include "serde/predicate.h"
 
 namespace colmr {
 
@@ -52,6 +53,10 @@ Status RcFileInputFormat::CreateRecordReader(
                                      name);
     }
     projection.push_back(index);
+  }
+  // The predicate's columns too (an empty projection reads them all).
+  if (!projection.empty() && config.predicate != nullptr) {
+    AddPredicateColumns(*config.predicate, *schema, &projection, nullptr);
   }
 
   std::unique_ptr<RcFileScanner> scanner;

@@ -1,7 +1,7 @@
 #include "formats/text/text_format.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 
 #include "mapreduce/job.h"
@@ -53,19 +53,19 @@ class TextValueParser {
         return Status::OK();
       }
       case TypeKind::kDouble: {
-        // Collect the numeric token, then convert.
-        size_t len = 0;
-        while (len < input_.size() &&
-               (std::isdigit(static_cast<unsigned char>(input_[len])) ||
-                input_[len] == '-' || input_[len] == '+' ||
-                input_[len] == '.' || input_[len] == 'e' ||
-                input_[len] == 'E')) {
-          ++len;
+        // The shortest round-trip text Value::ToString writes, including
+        // nan, -nan, inf and -inf. Text written elsewhere may sign a
+        // number with one '+', which from_chars does not take.
+        double v = 0;
+        const char* begin = input_.data();
+        const char* end = begin + input_.size();
+        if (end - begin > 1 && begin[0] == '+' && begin[1] != '-') ++begin;
+        const auto parsed = std::from_chars(begin, end, v);
+        if (parsed.ec != std::errc()) {
+          return Status::Corruption("txt: expected double");
         }
-        if (len == 0) return Status::Corruption("txt: expected double");
-        const std::string token(input_.data(), len);
-        input_.RemovePrefix(len);
-        *out = Value::Double(std::strtod(token.c_str(), nullptr));
+        input_.RemovePrefix(parsed.ptr - input_.data());
+        *out = Value::Double(v);
         return Status::OK();
       }
       case TypeKind::kString:
@@ -165,17 +165,18 @@ class TextValueParser {
       negative = true;
       ++i;
     }
-    int64_t v = 0;
+    // Unsigned accumulation: INT64_MIN's magnitude does not fit int64.
+    uint64_t v = 0;
     size_t digits = 0;
     while (i < input_.size() &&
            std::isdigit(static_cast<unsigned char>(input_[i]))) {
-      v = v * 10 + (input_[i] - '0');
+      v = v * 10 + static_cast<uint64_t>(input_[i] - '0');
       ++i;
       ++digits;
     }
     if (digits == 0) return Status::Corruption("txt: expected integer");
     input_.RemovePrefix(i);
-    *out = negative ? -v : v;
+    *out = static_cast<int64_t>(negative ? 0 - v : v);
     return Status::OK();
   }
 

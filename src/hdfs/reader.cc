@@ -150,7 +150,15 @@ Status BufferedReader::Skip(uint64_t n) {
     uint64_t fetch_from = buffered_end;
     while (fetch_from < target && fetch_from < file_->size()) {
       std::string chunk;
-      COLMR_RETURN_IF_ERROR(file_->Read(fetch_from, buffer_size_, &chunk));
+      const Status read = file_->Read(fetch_from, buffer_size_, &chunk);
+      if (!read.ok()) {
+        // The cursor stays put, over an empty window the next Peek fills:
+        // the window may already be gone, and position_ must never fall
+        // outside it.
+        buffer_.clear();
+        buffer_start_ = position_;
+        return read;
+      }
       if (chunk.empty()) break;
       fetch_from += chunk.size();
       buffer_ = std::move(chunk);

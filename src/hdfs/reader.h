@@ -62,7 +62,8 @@ class BufferedReader {
 
   /// Skips n bytes forward: consumes from the buffer when possible,
   /// otherwise seeks — skipping more than the buffered window is how skip
-  /// lists turn into real I/O savings.
+  /// lists turn into real I/O savings. On a read error the cursor has not
+  /// moved.
   Status Skip(uint64_t n);
 
   // Convenience decoders over Peek/Consume.

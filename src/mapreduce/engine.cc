@@ -111,13 +111,16 @@ bool SplitIsLocalTo(const InputSplit& split, NodeId node) {
          split.locations.end();
 }
 
-/// Fault-salt domains, one per kind of attempt, in the salt's top two
-/// bits so draws never collide across the write paths of one job (see the
-/// draw-keying contract in fault_injector.h).
+/// Fault-salt domains, one per kind of attempt, in the salt's top three
+/// bits so draws never collide across the attempts of one job (see the
+/// draw-keying contract in fault_injector.h). Read and write draws never
+/// alias, so a merge group or a reducer salts its reads and its writes
+/// alike.
 constexpr uint64_t kMapReadSaltDomain = 0;
+constexpr uint64_t kPlanReadSaltDomain = 0x2000000000000000ull;
 constexpr uint64_t kSpillWriteSaltDomain = 0x4000000000000000ull;
-constexpr uint64_t kReduceWriteSaltDomain = 0x8000000000000000ull;
-constexpr uint64_t kMergeWriteSaltDomain = 0xC000000000000000ull;
+constexpr uint64_t kReduceSaltDomain = 0x8000000000000000ull;
+constexpr uint64_t kMergeSaltDomain = 0xC000000000000000ull;
 
 /// The salt keying one attempt's deterministic fault schedule: a retry of
 /// the same task draws fresh outcomes, whatever thread runs it.
@@ -181,7 +184,11 @@ struct ReduceTaskResult {
   std::vector<std::pair<Value, Value>> pairs;
   double cpu_seconds = 0;
   uint64_t input_records = 0;
-  /// A spill-read failure in this partition's merge.
+  /// Spill reads of every attempt: failovers and checksum failures.
+  IoStats io;
+  /// Attempts after the first, each after a spill-read failure.
+  uint64_t retries = 0;
+  /// The last attempt's spill-read failure, if every attempt failed.
   Status status;
 };
 
@@ -306,16 +313,28 @@ class JobRun {
       }
     }
 
-    {
+    // A read that fails on every replica re-plans under a fresh read salt,
+    // up to max_task_attempts, as a job client retries split computation.
+    Status planned;
+    IoStats plan_io;
+    for (int attempt = 0; attempt < MaxAttempts(); ++attempt) {
       ScopedSpan plan_span(trace_, "plan.splits", "mr");
-      ReadContext plan_context{kAnyNode, nullptr, 0, metrics_, trace_};
+      ReadContext plan_context{kAnyNode, &plan_io,
+                               AttemptSalt(kPlanReadSaltDomain, 0, attempt),
+                               metrics_, trace_};
       plan_context.readahead_bytes = config_.readahead_bytes;
-      COLMR_RETURN_IF_ERROR(
-          job_.input_format->GetSplits(fs_, config_, plan_context, &splits_));
+      splits_.clear();
+      planned =
+          job_.input_format->GetSplits(fs_, config_, plan_context, &splits_);
       if (plan_span.active()) {
         plan_span.AddArg("splits", static_cast<uint64_t>(splits_.size()));
+        plan_span.AddArg("attempt", attempt);
       }
+      if (!planned.IsIoError()) break;
     }
+    report_->failover_reads += plan_io.failover_reads;
+    report_->checksum_failures += plan_io.checksum_failures;
+    COLMR_RETURN_IF_ERROR(planned);
     if (splits_.empty()) {
       return Status::InvalidArgument("input produced no splits");
     }
@@ -425,7 +444,8 @@ class JobRun {
       report_->checksum_failures += result.task.io.checksum_failures;
       report_->failover_reads += result.task.io.failover_reads;
       // Spill-write faults of every attempt of the recorded chain (zero when
-      // no task spilled); reduce-output faults are added by Output.
+      // no task spilled); merge and reduce-output faults are added by
+      // Shuffle and Output.
       report_->write_faults += result.task.io.write_faults;
     }
     report_->peak_node_slots = gate_.peaks();
@@ -810,8 +830,8 @@ class JobRun {
     return Status::OK();
   }
 
-  /// Merges one group of runs into *merged. A write fault retries the group
-  /// with a fresh salt and path, like any other write attempt.
+  /// Merges one group of runs into *merged. A read or write fault retries
+  /// the group with a fresh salt and path, like any other attempt.
   Status MergeGroup(int pass, size_t group,
                     const std::vector<const SpillRun*>& runs,
                     SpillRun* merged) {
@@ -826,16 +846,19 @@ class JobRun {
         merge_span.AddArg("runs", static_cast<uint64_t>(runs.size()));
         merge_span.AddArg("attempt", attempt);
       }
-      const uint64_t index = static_cast<uint64_t>(pass) * 8191 + group;
-      WriteContext wctx{kAnyNode, nullptr,
-                        AttemptSalt(kMergeWriteSaltDomain, index, attempt),
-                        metrics_};
+      const uint64_t salt = AttemptSalt(
+          kMergeSaltDomain, static_cast<uint64_t>(pass) * 8191 + group,
+          attempt);
+      IoStats io;
       uint64_t segments = 0;
       last = MergeSpillRuns(fs_, runs, AttemptDir(task_id, attempt) + "/run",
-                            wctx, ReadContext{kAnyNode, nullptr, 0, metrics_,
-                                              trace_},
+                            WriteContext{kAnyNode, &io, salt, metrics_},
+                            ReadContext{kAnyNode, &io, salt, metrics_, trace_},
                             config_.spill_codec, num_reducers_, combiner(),
                             merged, &segments);
+      report_->failover_reads += io.failover_reads;
+      report_->checksum_failures += io.checksum_failures;
+      report_->write_faults += io.write_faults;
       if (last.ok()) {
         report_->merge_segments += segments;
         return Status::OK();
@@ -864,6 +887,12 @@ class JobRun {
         for (size_t p = 0; p < reduced_.size(); ++p) ReduceTask(p);
       }
     }
+    // Recovery accounting first, so a failed job still reports it.
+    for (const ReduceTaskResult& result : reduced_) {
+      report_->task_retries += result.retries;
+      report_->failover_reads += result.io.failover_reads;
+      report_->checksum_failures += result.io.checksum_failures;
+    }
     // Spill-read failures surface after the pool joins, lowest partition
     // first (matching the map phase's lowest-index-failure contract).
     for (const ReduceTaskResult& result : reduced_) {
@@ -880,37 +909,54 @@ class JobRun {
   /// the partition never materializes as one vector. Groups of equal keys
   /// fold through the reducer as they drain off the heap; the merge order
   /// equals a stable sort of the concatenated map output, so the reducer
-  /// sees the same (key, [values]) calls at every buffer size.
+  /// sees the same (key, [values]) calls at every buffer size. A spill-read
+  /// failure re-runs the reducer under a fresh read salt, up to
+  /// max_task_attempts, as Hadoop re-fetches map output and then re-runs
+  /// the reduce attempt. Resident runs cannot fail a read, and their first
+  /// cursor consumes them, so they never retry.
   void ReduceTask(size_t p) {
     ReduceTaskResult& out = reduced_[p];
+    const bool resident = !runs_.empty() && runs_[0].resident != nullptr;
+    for (int attempt = 0; attempt < MaxAttempts(); ++attempt) {
+      if (attempt > 0) out.retries += 1;
+      out.status = ReduceAttempt(p, attempt, &out);
+      if (out.status.ok() || out.status.IsDataLoss() || resident) return;
+    }
+  }
+
+  Status ReduceAttempt(size_t p, int attempt, ReduceTaskResult* out) {
     ScopedSpan reduce_span(trace_, "reduce_task", "mr");
     if (reduce_span.active()) {
       reduce_span.AddArg("partition", static_cast<uint64_t>(p));
+      reduce_span.AddArg("attempt", attempt);
     }
     ThreadCpuStopwatch watch;
+    const ReadContext context{kAnyNode, &out->io,
+                              AttemptSalt(kReduceSaltDomain, p, attempt),
+                              metrics_, trace_};
     SpillMerger merger;
     for (size_t r = 0; r < runs_.size(); ++r) {
       if (runs_[r].segments[p].records == 0) continue;
       std::unique_ptr<SpillSegmentCursor> cursor;
-      out.status = SpillSegmentCursor::Open(
-          fs_, runs_[r], static_cast<int>(p),
-          ReadContext{kAnyNode, nullptr, 0, metrics_, trace_}, &cursor);
-      if (!out.status.ok()) return;
+      COLMR_RETURN_IF_ERROR(SpillSegmentCursor::Open(
+          fs_, runs_[r], static_cast<int>(p), context, &cursor));
       merger.Add(std::move(cursor), r);
     }
     VectorEmitter emitter;
-    out.status = ForEachKeyGroup(
+    uint64_t input_records = 0;
+    COLMR_RETURN_IF_ERROR(ForEachKeyGroup(
         &merger, [&](const Value& key, const std::vector<Value>& values) {
-          out.input_records += values.size();
+          input_records += values.size();
           job_.reducer(key, values, &emitter);
           return Status::OK();
-        });
-    if (!out.status.ok()) return;
+        }));
     if (reduce_span.active()) {
-      reduce_span.AddArg("input_records", out.input_records);
+      reduce_span.AddArg("input_records", input_records);
     }
-    out.cpu_seconds = watch.ElapsedSeconds();
-    out.pairs = std::move(emitter.pairs());
+    out->input_records = input_records;
+    out->cpu_seconds = watch.ElapsedSeconds();
+    out->pairs = std::move(emitter.pairs());
+    return Status::OK();
   }
 
   // ---- Output ----
@@ -925,7 +971,7 @@ class JobRun {
       for (size_t p = 0; p < reduced_.size(); ++p) {
         COLMR_RETURN_IF_ERROR(WritePart(p));
       }
-      COLMR_RETURN_IF_ERROR(committer_->CommitJob(kReduceWriteSaltDomain));
+      COLMR_RETURN_IF_ERROR(committer_->CommitJob(kReduceSaltDomain));
     }
     for (ReduceTaskResult& result : reduced_) {
       for (auto& pair : result.pairs) {
@@ -956,7 +1002,7 @@ class JobRun {
         output_span.AddArg("attempt", attempt);
         output_span.AddArg("node", node);
       }
-      const uint64_t salt = AttemptSalt(kReduceWriteSaltDomain, p, attempt);
+      const uint64_t salt = AttemptSalt(kReduceSaltDomain, p, attempt);
       IoStats io;
       last = [&]() -> Status {
         std::unique_ptr<FileWriter> writer;

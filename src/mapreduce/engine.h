@@ -32,13 +32,15 @@ namespace colmr {
 /// Failure handling: a map attempt that fails with a retryable error or
 /// exceeds JobConfig::task_timeout_ms re-runs on a node not yet tried
 /// (replica holders first), up to JobConfig::max_task_attempts. Reducers
-/// merge the map tasks' sorted runs (DESIGN.md §12); each partition's
-/// output is written through the OutputCommitter (DESIGN.md §11), whose
-/// write attempts retry across nodes the same way, so a fault, crash or
-/// duplicate attempt leaves either complete output or no visible output.
-/// Nodes accumulating node_blacklist_failures failed attempts of either
-/// kind are blacklisted for the rest of the job. DataLoss is terminal — no
-/// node can serve the bytes. JobConfig::speculative_execution launches one
+/// merge the map tasks' sorted runs (DESIGN.md §12); a merge group or a
+/// reducer whose spill reads fail re-runs under a fresh read salt, up to
+/// the same limit. Each partition's output is written through the
+/// OutputCommitter (DESIGN.md §11), whose write attempts retry across
+/// nodes the same way, so a fault, crash or duplicate attempt leaves
+/// either complete output or no visible output. Nodes accumulating
+/// node_blacklist_failures failed attempts of either kind are blacklisted
+/// for the rest of the job. DataLoss is terminal — no node can serve the
+/// bytes. JobConfig::speculative_execution launches one
 /// backup attempt of any map task lagging well behind the completed-task
 /// median; the first result recorded wins (Hadoop semantics). Output stays
 /// byte-identical across every fault × speculation × parallelism

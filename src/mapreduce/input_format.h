@@ -47,11 +47,12 @@ class RecordReader {
   virtual Status status() const = 0;
 
   // ---- Batch protocol (DESIGN.md §10) ----
-  // The engine drives readers batch-at-a-time when JobConfig::batch_rows
-  // > 1: FillBatch makes up to max_rows records resident, RecordAt
-  // addresses them. The base implementation adapts any scalar reader as a
-  // one-row batch, so row formats participate without changes; CIF
-  // overrides both to decode columns in bulk.
+  // The engine drives every reader batch-at-a-time, up to
+  // JobConfig::batch_rows rows: FillBatch makes up to max_rows records
+  // resident, RecordAt addresses them. The base implementation adapts a
+  // Next()/record() reader as one-row batches, so row formats participate
+  // without changes; CIF overrides both to decode columns in bulk, and
+  // serves its own Next()/record() as one-row batches.
 
   /// Makes up to max_rows records resident and returns how many (0 = end
   /// of split or error; check status()). Invalidates the previous batch,

@@ -30,8 +30,9 @@ struct JobConfig {
   /// is precisely the asymmetry the experiments measure.
   std::vector<std::string> projection;
 
-  /// CIF record construction strategy (paper Section 5.1): false =
-  /// EagerRecord, true = LazyRecord.
+  /// CIF record construction strategy (paper Section 5.1): false = eager
+  /// (every projected column decoded a batch at a time), true =
+  /// LazyRecord (only the values the map function reads are decoded).
   bool lazy_records = false;
 
   // ---- Predicate pushdown (DESIGN.md §13) ----
@@ -59,10 +60,10 @@ struct JobConfig {
   uint64_t split_size = 0;
 
   /// Rows the engine asks a record reader to make resident per
-  /// FillBatch() call (DESIGN.md §10). 1 disables batching and drives the
-  /// reader through the exact pre-batch Next()/record() path; values > 1
-  /// let CIF decode columns in bulk (row formats degrade to one-row
-  /// batches). Output is byte-identical across settings.
+  /// FillBatch() call (DESIGN.md §10). CIF decodes columns in bulk up to
+  /// this many rows; 1 (or 0) means one-row batches through the same
+  /// decode path. Row formats always serve one-row batches. Output is
+  /// byte-identical across settings.
   uint64_t batch_rows = 1024;
 
   /// Worker threads for task execution. 0 (default) sizes the pool to
@@ -232,12 +233,15 @@ struct JobReport {
   int remote_tasks = 0;
 
   // ---- Failure and recovery (filled even when the job fails) ----
-  /// Map task re-executions: sum over tasks of (attempts - 1) of each
-  /// task's recorded attempt chain (a winning backup counts 0).
+  /// Task re-executions: sum over map tasks of (attempts - 1) of each
+  /// task's recorded attempt chain (a winning backup counts 0), plus
+  /// reducer re-runs after a spill-read failure.
   uint64_t task_retries = 0;
-  /// Replica reads rejected by the block checksum, summed over attempts.
+  /// Replica reads rejected by the block checksum, summed over attempts
+  /// (map, merge and reduce).
   uint64_t checksum_failures = 0;
-  /// Replica read attempts that failed over to another replica.
+  /// Replica read attempts that failed over to another replica, input and
+  /// spill reads alike.
   uint64_t failover_reads = 0;
   /// Nodes the job blacklisted (>= config.node_blacklist_failures failed
   /// map or output-write attempts), ascending; filled after the last phase.
@@ -270,7 +274,7 @@ struct JobReport {
   /// writes, failed jobs).
   uint64_t commit_aborts = 0;
   /// Block seals that failed under injected write faults, summed over
-  /// output-write attempts.
+  /// spill, merge and output-write attempts.
   uint64_t write_faults = 0;
   /// Output-write attempt re-executions (write fault or commit fault,
   /// then retried on another node).

@@ -1,6 +1,7 @@
 #ifndef COLMR_MAPREDUCE_MAP_LOOP_H_
 #define COLMR_MAPREDUCE_MAP_LOOP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -17,36 +18,21 @@ namespace colmr {
 /// Predicate filter (DESIGN.md §13): a row is mapped only when `predicate`
 /// (may be null) is TRUE. The format may have evaluated it already
 /// (selection()); otherwise it is evaluated row-wise here, so output is
-/// identical with pushdown on or off. batch_rows <= 1 drives the scalar
-/// Next()/record() path, bit-for-bit the pre-batch engine; larger values
-/// drive FillBatch/RecordAt (DESIGN.md §10).
+/// identical with pushdown on or off. The reader is driven through
+/// FillBatch/RecordAt, batch_rows rows at a time (DESIGN.md §10); 0 and 1
+/// both mean one-row batches.
 ///
 /// `poll()` returns a non-OK Status to stop the loop (deadline, superseded
-/// attempt, failed spill). It is not free, so it runs every 64 rows on the
-/// scalar path and once per batch on the batched path. Returns the stop
-/// reason — a poll's, or the first predicate evaluation error — or OK when
-/// the reader ran dry; the caller still checks reader->status().
+/// attempt, failed spill). It runs once per batch. Returns the stop reason
+/// — a poll's, or the first predicate evaluation error — or OK when the
+/// reader ran dry; the caller still checks reader->status().
 template <typename Poll, typename Map>
 Status ForEachMappedRecord(RecordReader* reader, uint64_t batch_rows,
                            const Predicate* predicate, Poll&& poll, Map&& map,
                            uint64_t* mapped) {
   Status eval;
-  if (batch_rows <= 1) {
-    uint64_t tick = 0;
-    while (reader->Next()) {
-      if ((++tick & 63) == 0) COLMR_RETURN_IF_ERROR(poll());
-      if (predicate != nullptr) {
-        const Tri pass = EvalPredicateRow(*predicate, reader->record(), &eval);
-        if (!eval.ok()) return eval;
-        if (pass != Tri::kTrue) continue;
-      }
-      map(reader->record());
-      ++*mapped;
-    }
-    return Status::OK();
-  }
   uint64_t filled;
-  while ((filled = reader->FillBatch(batch_rows)) > 0) {
+  while ((filled = reader->FillBatch(std::max<uint64_t>(batch_rows, 1))) > 0) {
     COLMR_RETURN_IF_ERROR(poll());
     if (const std::vector<uint32_t>* selection = reader->selection()) {
       for (const uint32_t r : *selection) map(reader->RecordAt(r));

@@ -1,5 +1,6 @@
 #include "serde/predicate.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
@@ -189,6 +190,24 @@ std::vector<std::string> PredicateColumns(const Predicate& predicate) {
   std::set<std::string> names;
   CollectColumns(predicate, &names);
   return std::vector<std::string>(names.begin(), names.end());
+}
+
+void AddPredicateColumns(const Predicate& predicate, const Schema& schema,
+                         std::vector<int>* indices,
+                         std::vector<std::string>* missing) {
+  for (std::string& name : PredicateColumns(predicate)) {
+    const int index = schema.FieldIndex(name);
+    if (index >= 0) {
+      indices->push_back(index);
+    } else if (missing != nullptr && std::find(missing->begin(),
+                                               missing->end(),
+                                               name) == missing->end()) {
+      missing->push_back(std::move(name));
+    }
+  }
+  std::sort(indices->begin(), indices->end());
+  indices->erase(std::unique(indices->begin(), indices->end()),
+                 indices->end());
 }
 
 Status ValidatePredicate(const Predicate& predicate, const Schema& schema,

@@ -22,7 +22,8 @@ namespace colmr {
 //
 //   1. against per-rowgroup / per-file column statistics (zone maps), to
 //      refute whole splits and rowgroups without touching their bytes;
-//   2. row-at-a-time through Record::Get, for the scalar and lazy paths;
+//   2. row-at-a-time through Record::Get, for row formats, lazy records
+//      and jobs without pushdown;
 //   3. column-at-a-time over ColumnBatch lanes into a selection vector,
 //      for the vectorized map loop.
 //
@@ -87,6 +88,15 @@ Status ValidatePredicate(const Predicate& predicate, const Schema& schema,
 
 /// The distinct top-level columns the tree references, sorted.
 std::vector<std::string> PredicateColumns(const Predicate& predicate);
+
+/// Widens a reader's read set — `indices`, field indices of `schema` — to
+/// every column `predicate` references: the engine evaluates the filter on
+/// each record, so the reader must serve those columns whatever the
+/// projection. *indices ends sorted and distinct. Referenced columns
+/// `schema` lacks, which evaluate as NULL, join *missing (if given) once.
+void AddPredicateColumns(const Predicate& predicate, const Schema& schema,
+                         std::vector<int>* indices,
+                         std::vector<std::string>* missing);
 
 /// Evaluates one record through Record::Get. On a Get error, *status is
 /// set and kNull returned; callers must check *status. Rows reach the map

@@ -1,8 +1,23 @@
 #include "serde/value.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cmath>
 
 namespace colmr {
+
+namespace {
+
+/// IEEE 754 totalOrder as a signed integer: negative doubles have their
+/// magnitude bits flipped, so integer order over the keys is the total
+/// order and equal keys mean identical bits.
+int64_t TotalOrderKey(double d) {
+  const int64_t bits = std::bit_cast<int64_t>(d);
+  return bits < 0 ? bits ^ INT64_MAX : bits;
+}
+
+}  // namespace
 
 const Value* Value::FindMapEntry(std::string_view key) const {
   for (const auto& [k, v] : map_entries()) {
@@ -28,7 +43,8 @@ int Value::Compare(const Value& other) const {
       return a == b ? 0 : (a < b ? -1 : 1);
     }
     case TypeKind::kDouble: {
-      const double a = double_value(), b = other.double_value();
+      const int64_t a = TotalOrderKey(double_value());
+      const int64_t b = TotalOrderKey(other.double_value());
       return a == b ? 0 : (a < b ? -1 : 1);
     }
     case TypeKind::kString:
@@ -101,9 +117,18 @@ std::string Value::ToString() const {
     case TypeKind::kInt64:
       out = std::to_string(int64_value());
       break;
-    case TypeKind::kDouble:
-      out = std::to_string(double_value());
+    case TypeKind::kDouble: {
+      // Shortest text that reads back bit-exact (nan, -nan, inf and -inf
+      // for the non-finite values). A finite value keeps a '.' or an
+      // exponent so it parses back as a double, not as an integer.
+      char text[32];
+      const double d = double_value();
+      out.assign(text, std::to_chars(text, text + sizeof(text), d).ptr);
+      if (std::isfinite(d) && out.find_first_of(".e") == std::string::npos) {
+        out += ".0";
+      }
       break;
+    }
     case TypeKind::kString:
     case TypeKind::kBytes:
       AppendEscaped(string_value(), &out);

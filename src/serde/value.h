@@ -129,7 +129,11 @@ class Value {
   const Value* FindMapEntry(std::string_view key) const;
 
   /// Total ordering across values of the same schema, used for shuffle
-  /// sort keys. Orders first by kind, then by content.
+  /// sort keys. Orders first by kind, then by content. Doubles follow
+  /// IEEE 754 totalOrder over their bits:
+  ///   -NaN < -inf < ... < -0.0 < +0.0 < ... < +inf < +NaN,
+  /// so two doubles compare equal exactly when their bits are identical —
+  /// the equality HashTaggedValue and the shuffle partitioner agree with.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

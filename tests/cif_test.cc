@@ -73,18 +73,21 @@ TEST_P(ColumnLayoutTest, SequentialRoundTrip) {
   EXPECT_EQ(reader->row_count(), static_cast<uint64_t>(kRows));
   EXPECT_EQ(reader->layout(), layout);
   EXPECT_TRUE(reader->type()->Equals(*type));
+  ColumnBatch batch;
+  Value v;
   for (int i = 0; i < kRows; ++i) {
-    Value v;
-    ASSERT_TRUE(reader->ReadValue(&v).ok()) << "row " << i;
+    ASSERT_TRUE(reader->NextBatch(1, &batch).ok()) << "row " << i;
+    ASSERT_EQ(batch.size(), 1u) << "row " << i;
+    batch.MaterializeInto(0, &v);
     EXPECT_EQ(v.Compare(originals[i]), 0) << "row " << i;
   }
-  Value past;
-  EXPECT_TRUE(reader->ReadValue(&past).IsOutOfRange());
+  ASSERT_TRUE(reader->NextBatch(1, &batch).ok());
+  EXPECT_EQ(batch.size(), 0u);  // end of column: an empty batch
 }
 
 TEST_P(ColumnLayoutTest, RandomSkipPatternsMatchSequential) {
-  // Property: any interleaving of SkipRows and ReadValue observes exactly
-  // the values a sequential scan would at those rows.
+  // Property: any interleaving of SkipRows and one-row NextBatch observes
+  // exactly the values a sequential scan would at those rows.
   const ColumnLayout layout = GetParam();
   auto fs = MakeFs();
   const bool is_map = layout == ColumnLayout::kDictSkipList;
@@ -135,8 +138,11 @@ TEST_P(ColumnLayoutTest, RandomSkipPatternsMatchSequential) {
       ASSERT_TRUE(reader->SkipRows(jump).ok());
       row += jump;
       if (row >= static_cast<uint64_t>(kRows)) break;
+      ColumnBatch batch;
+      ASSERT_TRUE(reader->NextBatch(1, &batch).ok()) << "row " << row;
+      ASSERT_EQ(batch.size(), 1u) << "row " << row;
       Value v;
-      ASSERT_TRUE(reader->ReadValue(&v).ok()) << "row " << row;
+      batch.MaterializeInto(0, &v);
       EXPECT_EQ(v.Compare(originals[row]), 0) << "row " << row;
       ++row;
     }
@@ -167,8 +173,9 @@ TEST(ColumnFileTest, SkipToExactEnd) {
       ColumnFileReader::Open(fs.get(), "/c.col", ReadContext{}, &reader).ok());
   ASSERT_TRUE(reader->SkipRows(2500).ok());
   EXPECT_EQ(reader->current_row(), 2500u);
-  Value v;
-  EXPECT_TRUE(reader->ReadValue(&v).IsOutOfRange());
+  ColumnBatch batch;
+  EXPECT_TRUE(reader->NextBatch(1, &batch).ok());
+  EXPECT_EQ(batch.size(), 0u);  // end of column: an empty batch
   // Skipping past the end clamps.
   ASSERT_TRUE(reader->SkipRows(10).ok());
   EXPECT_EQ(reader->current_row(), 2500u);
@@ -247,8 +254,11 @@ TEST(ColumnFileTest, SkipListSavesWorkOnSparseAccess) {
                     .ok());
     for (uint64_t row = 0; row + 1000 <= 8000; row += 1000) {
       ASSERT_TRUE(reader->SkipRows(999).ok());
+      ColumnBatch batch;
+      ASSERT_TRUE(reader->NextBatch(1, &batch).ok());
+      ASSERT_EQ(batch.size(), 1u);
       Value v;
-      ASSERT_TRUE(reader->ReadValue(&v).ok());
+      batch.MaterializeInto(0, &v);
       EXPECT_EQ(v.Compare(values[reader->current_row() - 1]), 0);
     }
     bytes[idx] = stats.TotalBytes();

@@ -9,93 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "formats/text/text_format.h"
 #include "hdfs/fault_injector.h"
 #include "mapreduce/committer.h"
 #include "mapreduce/engine.h"
 #include "obs/metrics.h"
+#include "word_count_job.h"
 
 namespace colmr {
 namespace {
-
-// CI sweeps the fault schedule seed (COLMR_FAULT_SEED) so probabilistic
-// tests hold for every schedule, not one lucky draw.
-uint64_t FaultSeed() {
-  const char* env = std::getenv("COLMR_FAULT_SEED");
-  return env == nullptr ? 17 : std::strtoull(env, nullptr, 10);
-}
-
-ClusterConfig TestCluster() {
-  ClusterConfig config;
-  config.num_nodes = 8;
-  config.map_slots_per_node = 2;
-  config.block_size = 1024;
-  config.io_buffer_size = 256;
-  return config;
-}
-
-std::unique_ptr<MiniHdfs> MakeFs() {
-  return std::make_unique<MiniHdfs>(
-      TestCluster(), std::make_unique<ColumnPlacementPolicy>(17));
-}
-
-// A text dataset of several files, each a run of synthetic "words". Many
-// distinct keys make every reduce partition non-empty and multi-block, so
-// write faults have seals to bite on.
-void WriteWords(MiniHdfs* fs, const std::string& dir, int files,
-                int words_per_file) {
-  Schema::Ptr schema;
-  ASSERT_TRUE(Schema::Parse("record S { text: string }", &schema).ok());
-  int next = 0;
-  for (int f = 0; f < files; ++f) {
-    std::unique_ptr<TextWriter> writer;
-    ASSERT_TRUE(TextWriter::Open(fs, dir + "/f" + std::to_string(f), schema,
-                                 &writer)
-                    .ok());
-    for (int w = 0; w < words_per_file; ++w) {
-      std::string sentence = "word" + std::to_string(next % 509) + " common";
-      ++next;
-      ASSERT_TRUE(
-          writer->WriteRecord(Value::Record({Value::String(sentence)})).ok());
-    }
-    ASSERT_TRUE(writer->Close().ok());
-  }
-}
-
-Job WordCountJob(const std::string& out) {
-  Job job;
-  job.config.input_paths = {"/in"};
-  job.config.output_path = out;
-  job.input_format = std::make_shared<TextInputFormat>();
-  job.mapper = [](Record& record, Emitter* emit) {
-    std::istringstream words(record.GetOrDie("text").string_value());
-    std::string word;
-    while (words >> word) emit->Emit(Value::String(word), Value::Int32(1));
-  };
-  job.reducer = [](const Value& key, const std::vector<Value>& values,
-                   Emitter* emit) {
-    int64_t sum = 0;
-    for (const Value& v : values) sum += v.int32_value();
-    emit->Emit(key, Value::Int64(sum));
-  };
-  return job;
-}
-
-std::string ReadFile(MiniHdfs* fs, const std::string& path) {
-  std::unique_ptr<FileReader> reader;
-  EXPECT_TRUE(fs->Open(path, ReadContext{}, &reader).ok());
-  std::string data;
-  EXPECT_TRUE(reader->Read(0, reader->size(), &data).ok());
-  return data;
-}
 
 // Every visible output file (name -> bytes), asserting the committed
 // layout: a _SUCCESS marker, part files, and no _temporary residue.
@@ -255,30 +182,6 @@ TEST(CrashSafetyTest, OutputWriteBlacklistIsReported) {
   EXPECT_EQ(report.blacklisted_nodes, std::vector<NodeId>{0});
   EXPECT_EQ(registry.Snapshot().counters.at("mr.node.blacklisted"), 1u);
   EXPECT_EQ(CommittedOutput(fs.get(), "/out"), baseline);
-}
-
-// Sub-certain write and commit fault probabilities: retries absorb the
-// faults and the committed output stays byte-identical to fault-free.
-TEST(CrashSafetyTest, PartialFaultsRetryToIdenticalOutput) {
-  const auto baseline = BaselineOutput();
-  for (int parallelism : {1, 4}) {
-    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
-    auto fs = MakeFs();
-    WriteWords(fs.get(), "/in", 3, 400);
-    FaultConfig faults;
-    faults.seed = FaultSeed();
-    faults.write_error_p = 0.01;
-    faults.task_commit_error_p = 0.1;
-    fs->SetFaultConfig(faults);
-
-    JobRunner runner(fs.get());
-    Job job = WordCountJob("/out");
-    job.config.parallelism = parallelism;
-    job.config.max_task_attempts = 8;  // plenty of retry headroom
-    JobReport report;
-    ASSERT_TRUE(runner.Run(job, &report).ok());
-    EXPECT_EQ(CommittedOutput(fs.get(), "/out"), baseline);
-  }
 }
 
 // The probe run tells us which node executes split 0 (scheduling is

@@ -591,8 +591,8 @@ struct SkipCounters {
 
 // Scans a CIF-SL dataset with lazy records, touching the map column only
 // for matching records — the Fig. 10 access pattern — against a private
-// registry so runs stay isolated. batch_rows picks the map loop: 1 drives
-// Next(), larger values FillBatch/RecordAt.
+// registry so runs stay isolated. batch_rows sizes the map loop's batches:
+// 1 drives one-row batches, larger values bulk ones.
 SkipCounters ScanSelective(MiniHdfs* fs, uint64_t batch_rows) {
   MetricsRegistry registry;
   ColumnInputFormat format;

@@ -51,6 +51,19 @@ TEST(PredicateParseTest, RoundTripsThroughToString) {
   }
 }
 
+// A double literal's text keeps every bit and stays a double, so a tiny
+// cutoff survives the round trip instead of collapsing to 0.
+TEST(PredicateParseTest, DoubleLiteralRoundTripsBitExact) {
+  for (const auto& [text, d] :
+       {std::pair{"a < 1e-9", 1e-9}, std::pair{"a < 3.0", 3.0}}) {
+    Predicate p, again;
+    ASSERT_TRUE(ParsePredicate(text, &p).ok());
+    ASSERT_TRUE(ParsePredicate(p.ToString(), &again).ok()) << p.ToString();
+    ASSERT_EQ(again.literal.kind(), TypeKind::kDouble) << p.ToString();
+    EXPECT_EQ(again.literal.double_value(), d);
+  }
+}
+
 TEST(PredicateParseTest, AcceptsOperatorSpellingsAndEscapes) {
   Predicate p;
   ASSERT_TRUE(ParsePredicate("a == 1 and b <> 'it\\'s' or c = \"q\"", &p).ok());
@@ -166,10 +179,11 @@ TEST(ColumnStatsTest, FooterRoundTripAcrossRowgroups) {
     ASSERT_TRUE(
         ColumnFileReader::Open(fs.get(), path, ReadContext{}, &reader).ok());
     ASSERT_EQ(reader->row_count(), 2500u);
-    Value v;
+    ColumnBatch batch;
+    ASSERT_TRUE(reader->NextBatch(2500, &batch).ok());
+    ASSERT_EQ(batch.size(), 2500u);
     for (int64_t i = 0; i < 2500; ++i) {
-      ASSERT_TRUE(reader->ReadValue(&v).ok()) << "row " << i;
-      ASSERT_EQ(v.int64_value(), i * 3);
+      ASSERT_EQ(batch.IntAt(i), i * 3) << "row " << i;
     }
   }
 }
@@ -331,12 +345,13 @@ TEST(ColumnStatsTest, PreStatsFileReadsFineAndReportsNoStats) {
           .ok());
   ASSERT_EQ(reader->row_count(), 1200u);
   ASSERT_TRUE(reader->SkipRows(1000).ok());
-  Value v;
-  ASSERT_TRUE(reader->ReadValue(&v).ok());
-  EXPECT_EQ(v.int64_value(), 1000);
+  ColumnBatch batch;
+  ASSERT_TRUE(reader->NextBatch(1, &batch).ok());
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.IntAt(0), 1000);
 }
 
-// ---- End-to-end: pruning, selection vectors, differential matrix ----
+// ---- End-to-end: pruning and selection vectors ----
 
 Schema::Ptr MatrixSchema() {
   return Schema::Record("Zx", {{"seq", Schema::Int64()},
@@ -395,33 +410,21 @@ class PushdownJobTest : public ::testing::Test {
   static constexpr char kWhere[] = "seq < 600 OR seq >= 2200";
   static bool Matches(int64_t seq) { return seq < 600 || seq >= 2200; }
 
-  /// Runs the job over `path`. With `predicate` set the engine/format
-  /// filters; without, the mapper applies the same cut itself (the
-  /// baseline arm). Returns the reduce output.
-  std::vector<std::pair<Value, Value>> Run(const std::string& path,
-                                           bool with_predicate, bool pushdown,
-                                           uint64_t batch_rows, bool lazy,
-                                           int parallelism,
-                                           MetricsRegistry* metrics,
-                                           JobReport* report) {
+  /// Runs the filtering job over `path` into *report.
+  void Run(const std::string& path, bool pushdown, bool lazy,
+           MetricsRegistry* metrics, JobReport* report) {
     Job job;
     job.config.input_paths = {path};
     job.config.projection = {"seq", "int0"};
-    job.config.batch_rows = batch_rows;
     job.config.lazy_records = lazy;
-    job.config.parallelism = parallelism;
     job.config.metrics = metrics;
-    if (with_predicate) {
-      Predicate p;
-      EXPECT_TRUE(ParsePredicate(kWhere, &p).ok());
-      job.config.predicate = std::make_shared<const Predicate>(std::move(p));
-      job.config.predicate_pushdown = pushdown;
-    }
+    Predicate p;
+    EXPECT_TRUE(ParsePredicate(kWhere, &p).ok());
+    job.config.predicate = std::make_shared<const Predicate>(std::move(p));
+    job.config.predicate_pushdown = pushdown;
     job.input_format = std::make_shared<ColumnInputFormat>();
-    job.mapper = [with_predicate](Record& record, Emitter* out) {
-      const int64_t seq = record.GetOrDie("seq").int64_value();
-      if (!with_predicate && !Matches(seq)) return;
-      out->Emit(Value::Int64(seq % 7),
+    job.mapper = [](Record& record, Emitter* out) {
+      out->Emit(Value::Int64(record.GetOrDie("seq").int64_value() % 7),
                 Value::Int64(record.GetOrDie("int0").int32_value()));
     };
     job.reducer = [](const Value& key, const std::vector<Value>& values,
@@ -433,92 +436,36 @@ class PushdownJobTest : public ::testing::Test {
     JobRunner runner(fs_.get());
     Status s = runner.Run(job, report);
     EXPECT_TRUE(s.ok()) << s.ToString();
-    return report->output;
-  }
-
-  static void ExpectSameOutput(
-      const std::vector<std::pair<Value, Value>>& a,
-      const std::vector<std::pair<Value, Value>>& b, const std::string& what) {
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].first.Compare(b[i].first), 0) << what << " key " << i;
-      EXPECT_EQ(a[i].second.Compare(b[i].second), 0) << what << " val " << i;
-    }
   }
 
   std::unique_ptr<MiniHdfs> fs_;
 };
 
-TEST_F(PushdownJobTest, MatrixMatchesFilterInMapByteForByte) {
-  MetricsRegistry baseline_metrics;
-  JobReport baseline_report;
-  const auto expected = Run("/sl", false, false, 1024, false, 1,
-                            &baseline_metrics, &baseline_report);
-  ASSERT_FALSE(expected.empty());
-
+// Zone maps refute rowgroup 1 of every layout, eager or lazy; only
+// pushdown prunes it, and either way exactly the matching rows are
+// mapped. (oracle_test checks the output itself across every knob.)
+TEST_F(PushdownJobTest, PrunesRowgroupsOnlyWithPushdown) {
+  uint64_t match_count = 0;
+  for (int i = 0; i < kRecords; ++i) match_count += Matches(i);
   for (const std::string layout : {"/plain", "/sl", "/comp", "/dcsl"}) {
     for (const bool pushdown : {false, true}) {
-      for (const uint64_t batch_rows : {uint64_t{1}, uint64_t{64},
-                                        uint64_t{1024}}) {
-        for (const bool lazy : {false, true}) {
-          MetricsRegistry metrics;
-          JobReport report;
-          const std::string what =
-              layout + (pushdown ? " push" : " nopush") + " batch=" +
-              std::to_string(batch_rows) + (lazy ? " lazy" : " eager");
-          const auto got = Run(layout, true, pushdown, batch_rows, lazy, 1,
-                               &metrics, &report);
-          ExpectSameOutput(expected, got, what);
-          const uint64_t pruned =
-              metrics.counter("cif.prune.rowgroups")->value();
-          if (pushdown) {
-            EXPECT_GT(pruned, 0u) << what;  // group 1 is always refutable
-          } else {
-            EXPECT_EQ(pruned, 0u) << what;
-          }
-          // Only matching rows reach the mapper in every mode. (The
-          // baseline arm has no predicate, so all kRecords reach its
-          // mapper and it filters inside.)
-          uint64_t match_count = 0;
-          for (int i = 0; i < kRecords; ++i) match_count += Matches(i);
-          EXPECT_EQ(report.map_input_records, match_count) << what;
+      for (const bool lazy : {false, true}) {
+        MetricsRegistry metrics;
+        JobReport report;
+        const std::string what = layout + (pushdown ? " push" : " nopush") +
+                                 (lazy ? " lazy" : " eager");
+        Run(layout, pushdown, lazy, &metrics, &report);
+        EXPECT_EQ(report.map_input_records, match_count) << what;
+        const uint64_t pruned =
+            metrics.counter("cif.prune.rowgroups")->value();
+        if (pushdown) {
+          EXPECT_GT(pruned, 0u) << what;
+        } else {
+          EXPECT_EQ(pruned, 0u) << what;
         }
       }
     }
   }
-}
-
-TEST_F(PushdownJobTest, ParallelEngineMatchesSerial) {
-  MetricsRegistry m0;
-  JobReport r0;
-  const auto expected = Run("/sl", false, false, 1024, false, 1, &m0, &r0);
-  for (const int parallelism : {1, 4}) {
-    for (const bool pushdown : {false, true}) {
-      MetricsRegistry metrics;
-      JobReport report;
-      const auto got = Run("/sl", true, pushdown, 1024, false, parallelism,
-                           &metrics, &report);
-      ExpectSameOutput(expected, got,
-                       "parallelism=" + std::to_string(parallelism));
-    }
-  }
-}
-
-TEST_F(PushdownJobTest, SurvivesInjectedReadFaults) {
-  FaultConfig faults;
-  faults.read_error_p = 0.02;
-  fs_->SetFaultConfig(faults);
-  MetricsRegistry m0;
-  JobReport r0;
-  const auto expected = Run("/sl", false, false, 1024, false, 1, &m0, &r0);
-  for (const bool pushdown : {false, true}) {
-    MetricsRegistry metrics;
-    JobReport report;
-    const auto got =
-        Run("/sl", true, pushdown, 1024, false, 4, &metrics, &report);
-    ExpectSameOutput(expected, got, pushdown ? "faults push" : "faults nopush");
-  }
-  fs_->SetFaultConfig(FaultConfig{});
 }
 
 TEST_F(PushdownJobTest, SplitPruningDropsRefutedDirectories) {

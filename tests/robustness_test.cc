@@ -258,9 +258,9 @@ TEST(CorruptionTest, TruncatedColumnFilesFailCleanly) {
       Status s = ColumnFileReader::Open(fs.get(), tpath, ReadContext{},
                                         &column);
       if (!s.ok()) continue;  // header itself truncated: fine
-      Value v;
+      ColumnBatch batch;
       for (uint64_t row = 0; row < column->row_count(); ++row) {
-        s = column->ReadValue(&v);
+        s = column->NextBatch(1, &batch);
         if (!s.ok()) break;
       }
       // Either it errored or (for cuts past all values) read everything.
@@ -381,9 +381,9 @@ TEST(CorruptionTest, FlippedColumnFileBytesNeverCrash) {
     std::unique_ptr<ColumnFileReader> column;
     Status s = ColumnFileReader::Open(fs.get(), path, ReadContext{}, &column);
     if (!s.ok()) continue;
-    Value v;
+    ColumnBatch batch;
     for (uint64_t row = 0; row < column->row_count(); ++row) {
-      if (!column->ReadValue(&v).ok()) break;
+      if (!column->NextBatch(1, &batch).ok()) break;
     }
   }
 }
@@ -417,8 +417,9 @@ TEST(EdgeCaseTest, EmptyDatasets) {
   ASSERT_TRUE(
       ColumnFileReader::Open(fs.get(), "/c", ReadContext{}, &col_reader).ok());
   EXPECT_EQ(col_reader->row_count(), 0u);
-  Value v;
-  EXPECT_TRUE(col_reader->ReadValue(&v).IsOutOfRange());
+  ColumnBatch batch;
+  EXPECT_TRUE(col_reader->NextBatch(1, &batch).ok());
+  EXPECT_EQ(batch.size(), 0u);  // end of column: an empty batch
   EXPECT_TRUE(col_reader->SkipRows(5).ok());  // clamps to zero
 }
 
@@ -450,9 +451,10 @@ TEST(EdgeCaseTest, SkipListBoundaryRowCounts) {
     ASSERT_TRUE(
         ColumnFileReader::Open(fs.get(), path, ReadContext{}, &reader).ok());
     ASSERT_TRUE(reader->SkipRows(rows - 1).ok());
-    Value v;
-    ASSERT_TRUE(reader->ReadValue(&v).ok()) << rows;
-    EXPECT_EQ(v.int64_value(), static_cast<int64_t>(rows - 1)) << rows;
+    ColumnBatch batch;
+    ASSERT_TRUE(reader->NextBatch(1, &batch).ok()) << rows;
+    ASSERT_EQ(batch.size(), 1u) << rows;
+    EXPECT_EQ(batch.IntAt(0), static_cast<int64_t>(rows - 1)) << rows;
   }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "serde/boxed.h"
 #include "serde/encoding.h"
@@ -99,6 +103,29 @@ TEST(ValueTest, CompareTotalOrder) {
   // Mixed kinds order by kind tag, giving a stable shuffle sort.
   EXPECT_NE(Value::Int32(1).Compare(Value::String("1")), 0);
   EXPECT_TRUE(Value::String("a") < Value::String("b"));
+}
+
+// Doubles order by IEEE 754 totalOrder, so shuffle keys have one strict
+// weak order even with NaN and signed zeros among them. Each value
+// compares equal to itself (NaN included) and antisymmetrically to the
+// others.
+TEST(ValueTest, DoubleCompareIsIeeeTotalOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double ascending[] = {-nan,   -inf, -1.5e300, -1.0,    -1e-300, -0.0,
+                              0.0,    1e-300, 1.0,    1.5e300, inf,     nan};
+  for (size_t i = 0; i < std::size(ascending); ++i) {
+    for (size_t j = 0; j < std::size(ascending); ++j) {
+      const int expected = i == j ? 0 : (i < j ? -1 : 1);
+      const Value a = Value::Double(ascending[i]);
+      EXPECT_EQ(a.Compare(Value::Double(ascending[j])), expected)
+          << i << " vs " << j;
+    }
+  }
+  // Equal exactly when the bits are: NaNs with distinct payloads differ.
+  const double payload =
+      std::bit_cast<double>(std::bit_cast<uint64_t>(nan) | 1);
+  EXPECT_NE(Value::Double(payload).Compare(Value::Double(nan)), 0);
 }
 
 TEST(ValueTest, ToStringEscapes) {

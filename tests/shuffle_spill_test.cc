@@ -1,13 +1,11 @@
 // Sort-merge shuffle (DESIGN.md §12). Every job with a reducer takes one
 // path: map output buffers into runs — resident in memory when
 // sort_buffer_bytes == 0, spilled to scratch storage otherwise — and
-// reducers k-way merge them. The load-bearing invariant: a job's output is
-// byte-for-byte the word count an independent oracle computes from the
-// input, at every buffer size and across parallelism, combiner on/off,
-// spill codecs, merge factors, and injected write faults. On top of that,
+// reducers k-way merge them. Output equal to a reference at every buffer
+// size, codec, merge factor and fault schedule is oracle_test's job; here
 // the spill accounting (spill_count, merge_passes, peak_spill_buffer_bytes)
-// must show that a bounded buffer stayed bounded, and an unbounded one
-// must never touch storage.
+// must show that a bounded buffer stayed bounded, an unbounded one must
+// never touch storage, and damaged run files must fail, not mislead.
 //
 // Also home of the pinned-vector tests for the stable shuffle hash: the
 // partitioner is a specified function (common/hash.h FNV-1a + splitmix64),
@@ -17,121 +15,22 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
-#include "formats/text/text_format.h"
 #include "hdfs/fault_injector.h"
-#include "mapreduce/committer.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/spill.h"
 #include "obs/metrics.h"
 #include "serde/encoding.h"
+#include "word_count_job.h"
 
 namespace colmr {
 namespace {
-
-// CI sweeps the fault schedule seed (COLMR_FAULT_SEED) so probabilistic
-// tests hold for every schedule, not one lucky draw.
-uint64_t FaultSeed() {
-  const char* env = std::getenv("COLMR_FAULT_SEED");
-  return env == nullptr ? 17 : std::strtoull(env, nullptr, 10);
-}
-
-ClusterConfig TestCluster() {
-  ClusterConfig config;
-  config.num_nodes = 8;
-  config.map_slots_per_node = 2;
-  config.block_size = 1024;
-  config.io_buffer_size = 256;
-  return config;
-}
-
-std::unique_ptr<MiniHdfs> MakeFs() {
-  return std::make_unique<MiniHdfs>(
-      TestCluster(), std::make_unique<ColumnPlacementPolicy>(17));
-}
-
-// A text dataset of several files of synthetic "words": many distinct keys
-// so every reduce partition is non-empty, plus a heavily repeated key so
-// the combiner has something to fold.
-void WriteWords(MiniHdfs* fs, const std::string& dir, int files,
-                int words_per_file) {
-  Schema::Ptr schema;
-  ASSERT_TRUE(Schema::Parse("record S { text: string }", &schema).ok());
-  int next = 0;
-  for (int f = 0; f < files; ++f) {
-    std::unique_ptr<TextWriter> writer;
-    ASSERT_TRUE(
-        TextWriter::Open(fs, dir + "/f" + std::to_string(f), schema, &writer)
-            .ok());
-    for (int w = 0; w < words_per_file; ++w) {
-      std::string sentence = "word" + std::to_string(next % 509) + " common";
-      ++next;
-      ASSERT_TRUE(
-          writer->WriteRecord(Value::Record({Value::String(sentence)})).ok());
-    }
-    ASSERT_TRUE(writer->Close().ok());
-  }
-}
-
-Job WordCountJob(const std::string& out, bool with_combiner) {
-  Job job;
-  job.config.input_paths = {"/in"};
-  job.config.output_path = out;
-  job.input_format = std::make_shared<TextInputFormat>();
-  job.mapper = [](Record& record, Emitter* emit) {
-    std::istringstream words(record.GetOrDie("text").string_value());
-    std::string word;
-    while (words >> word) emit->Emit(Value::String(word), Value::Int32(1));
-  };
-  ReduceFn sum = [](const Value& key, const std::vector<Value>& values,
-                    Emitter* emit) {
-    int64_t total = 0;
-    for (const Value& v : values) {
-      total +=
-          v.kind() == TypeKind::kInt32 ? v.int32_value() : v.int64_value();
-    }
-    emit->Emit(key, Value::Int64(total));
-  };
-  job.reducer = sum;
-  if (with_combiner) job.combiner = sum;
-  return job;
-}
-
-std::string ReadFile(MiniHdfs* fs, const std::string& path) {
-  std::unique_ptr<FileReader> reader;
-  EXPECT_TRUE(fs->Open(path, ReadContext{}, &reader).ok());
-  std::string data;
-  EXPECT_TRUE(reader->Read(0, reader->size(), &data).ok());
-  return data;
-}
-
-// Every visible output file (name -> bytes), asserting the committed
-// layout: a _SUCCESS marker, part files, and no _temporary residue.
-std::map<std::string, std::string> CommittedOutput(MiniHdfs* fs,
-                                                   const std::string& out) {
-  std::map<std::string, std::string> files;
-  std::vector<std::string> children;
-  EXPECT_TRUE(fs->ListDir(out, &children).ok());
-  bool success = false;
-  for (const std::string& child : children) {
-    EXPECT_NE(child, std::string(OutputCommitter::kTemporaryDir));
-    if (child == OutputCommitter::kSuccessMarker) {
-      success = true;
-      continue;
-    }
-    files[child] = ReadFile(fs, out + "/" + child);
-  }
-  EXPECT_TRUE(success) << "no _SUCCESS marker in " << out;
-  return files;
-}
 
 // report.output rendered to one comparable string.
 std::string OutputToString(const JobReport& report) {
@@ -203,23 +102,11 @@ TEST(StableHashTest, ShufflePartitionVectorsArePinned) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Differential matrix: output at every buffer size must byte-match an
-// independent word-count oracle across parallelism, combiner, codec, and
-// write faults.
-// ---------------------------------------------------------------------
-
-struct MatrixReference {
-  std::string output;                          // report.output, stringified
-  std::map<std::string, std::string> files;    // committed part bytes
-};
-
 // The word count of WriteWords(files, words_per_file)'s input, computed
 // from the generator's arithmetic (line n is "word<n % 509> common")
 // without running a job, and rendered the way reducers emit it: partition
-// by partition (ShufflePartition), keys ascending within each; every
-// reducer commits one part file.
-MatrixReference WordCountOracle(int files, int words_per_file) {
+// by partition (ShufflePartition), keys ascending within each.
+std::string WordCountOracle(int files, int words_per_file) {
   std::map<std::string, int64_t> counts;
   for (int n = 0; n < files * words_per_file; ++n) {
     counts["word" + std::to_string(n % 509)] += 1;
@@ -234,111 +121,9 @@ MatrixReference WordCountOracle(int files, int words_per_file) {
     parts[ShufflePartition(key, reducers)] +=
         key.ToString() + '\t' + Value::Int64(count).ToString() + '\n';
   }
-  MatrixReference reference;
-  for (uint32_t p = 0; p < reducers; ++p) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "part-r-%05u", p);
-    reference.output += parts[p];
-    reference.files[name] = parts[p];
-  }
-  return reference;
-}
-
-TEST(ShuffleSpillTest, OutputMatchesWordCountOracleAtEveryBufferSize) {
-  const MatrixReference reference = WordCountOracle(3, 400);
-  ASSERT_FALSE(reference.output.empty());
-
-  // sort_buffer_bytes: tiny (many spills per task), large enough that the
-  // only spill is the Finish() flush (exactly one run per task), and 0
-  // (unbounded: one resident run per task).
-  const uint64_t buffers[] = {64, 1 << 20, 0};
-  const int parallelisms[] = {1, 4};
-  const bool combiners[] = {false, true};
-  // A tiny buffer means dozens of spill files per attempt, i.e. dozens of
-  // block seals the injector can bite on — the probability is kept low
-  // and the attempt budget high so every seed schedule converges.
-  const double fault_ps[] = {0.0, 0.01};
-
-  for (uint64_t sort_buffer : buffers) {
-    for (int parallelism : parallelisms) {
-      for (bool with_combiner : combiners) {
-        for (double fault_p : fault_ps) {
-          SCOPED_TRACE("sort_buffer=" + std::to_string(sort_buffer) +
-                       " parallelism=" + std::to_string(parallelism) +
-                       " combiner=" + std::to_string(with_combiner) +
-                       " fault_p=" + std::to_string(fault_p));
-          auto fs = MakeFs();
-          WriteWords(fs.get(), "/in", 3, 400);
-          if (fault_p > 0) {
-            FaultConfig faults;
-            faults.seed = FaultSeed();
-            faults.write_error_p = fault_p;
-            fs->SetFaultConfig(faults);
-          }
-          Job job = WordCountJob("/out", with_combiner);
-          job.config.sort_buffer_bytes = sort_buffer;
-          job.config.parallelism = parallelism;
-          job.config.max_task_attempts = 10;
-          job.config.node_blacklist_failures = 1000;
-          JobRunner runner(fs.get());
-          JobReport report;
-          ASSERT_TRUE(runner.Run(job, &report).ok());
-
-          EXPECT_EQ(OutputToString(report), reference.output);
-          EXPECT_EQ(CommittedOutput(fs.get(), "/out"), reference.files);
-          EXPECT_LE(report.shuffle_bytes, report.map_output_bytes);
-          if (sort_buffer == 0) {
-            EXPECT_EQ(report.spill_count, 0u);
-            EXPECT_EQ(report.spill_bytes, 0u);
-          } else {
-            EXPECT_GT(report.spill_count, 0u);
-            EXPECT_GT(report.spill_bytes, 0u);
-            // Bounded memory: the buffer never grew past the cap by more
-            // than the single record that tipped it over.
-            EXPECT_LE(report.peak_spill_buffer_bytes, sort_buffer + 64);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(ShuffleSpillTest, SpillCodecsPreserveOutput) {
-  const MatrixReference reference = WordCountOracle(3, 400);
-  for (CodecType codec : {CodecType::kLzf, CodecType::kZlite}) {
-    SCOPED_TRACE(static_cast<int>(codec));
-    auto fs = MakeFs();
-    WriteWords(fs.get(), "/in", 3, 400);
-    Job job = WordCountJob("/out", /*with_combiner=*/false);
-    job.config.sort_buffer_bytes = 256;
-    job.config.parallelism = 4;
-    job.config.spill_codec = codec;
-    JobRunner runner(fs.get());
-    JobReport report;
-    ASSERT_TRUE(runner.Run(job, &report).ok());
-    EXPECT_EQ(OutputToString(report), reference.output);
-    EXPECT_EQ(CommittedOutput(fs.get(), "/out"), reference.files);
-    EXPECT_GT(report.spill_count, 0u);
-  }
-}
-
-TEST(ShuffleSpillTest, SpeculationAndBatchRowsPreserveOutput) {
-  const MatrixReference reference = WordCountOracle(3, 400);
-  for (uint64_t batch_rows : {uint64_t{1}, uint64_t{1024}}) {
-    SCOPED_TRACE(batch_rows);
-    auto fs = MakeFs();
-    WriteWords(fs.get(), "/in", 3, 400);
-    Job job = WordCountJob("/out", /*with_combiner=*/true);
-    job.config.sort_buffer_bytes = 128;
-    job.config.parallelism = 4;
-    job.config.batch_rows = batch_rows;
-    job.config.speculative_execution = true;
-    JobRunner runner(fs.get());
-    JobReport report;
-    ASSERT_TRUE(runner.Run(job, &report).ok());
-    EXPECT_EQ(OutputToString(report), reference.output);
-    EXPECT_EQ(CommittedOutput(fs.get(), "/out"), reference.files);
-  }
+  std::string output;
+  for (const std::string& part : parts) output += part;
+  return output;
 }
 
 // ---------------------------------------------------------------------
@@ -432,7 +217,7 @@ TEST(ShuffleSpillTest, PublishedCountersEqualReportUnderRetries) {
   JobReport report;
   ASSERT_TRUE(runner.Run(job, &report).ok());
   ASSERT_GT(report.task_retries, 0u);
-  EXPECT_EQ(OutputToString(report), WordCountOracle(4, 400).output);
+  EXPECT_EQ(OutputToString(report), WordCountOracle(4, 400));
 
   uint64_t reduce_input_records = 0;
   for (uint64_t n : report.reduce_input_records) reduce_input_records += n;
@@ -485,7 +270,6 @@ TEST(ShuffleSpillTest, CertainSpillFaultFailsJobCleanly) {
 // Report-only jobs (no output path) spill into a private /_shuffle scratch
 // that is torn down with the run.
 TEST(ShuffleSpillTest, ReportOnlyJobCleansScratch) {
-  const MatrixReference reference = WordCountOracle(3, 400);
   auto fs = MakeFs();
   WriteWords(fs.get(), "/in", 3, 400);
   Job job = WordCountJob(/*out=*/"", /*with_combiner=*/false);
@@ -494,7 +278,7 @@ TEST(ShuffleSpillTest, ReportOnlyJobCleansScratch) {
   JobRunner runner(fs.get());
   JobReport report;
   ASSERT_TRUE(runner.Run(job, &report).ok());
-  EXPECT_EQ(OutputToString(report), reference.output);
+  EXPECT_EQ(OutputToString(report), WordCountOracle(3, 400));
   EXPECT_GT(report.spill_count, 0u);
   EXPECT_FALSE(fs->Exists("/_shuffle"));
 }
@@ -518,7 +302,7 @@ TEST(ShuffleSpillTest, UnboundedBufferNeverTouchesStorage) {
   JobReport report;
   ASSERT_TRUE(runner.Run(job, &report).ok());
   ASSERT_GT(report.map_tasks.size(), 2u);
-  EXPECT_EQ(OutputToString(report), WordCountOracle(3, 400).output);
+  EXPECT_EQ(OutputToString(report), WordCountOracle(3, 400));
   EXPECT_EQ(report.spill_count, 0u);
   EXPECT_EQ(report.spill_bytes, 0u);
   EXPECT_EQ(report.merge_passes, 0u);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 #include "formats/text/text_format.h"
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/job.h"
@@ -44,6 +48,41 @@ TEST(TextRecordTest, EscapedDelimitersSurvive) {
   Value parsed;
   ASSERT_TRUE(ParseTextRecord(*schema, line, &parsed).ok());
   EXPECT_EQ(record.Compare(parsed), 0);
+}
+
+// TXT stores numbers as Value::ToString text, which must read back
+// bit-exact: shortest round-trip digits, signed zero, the infinities, NaN
+// and the int64 extremes.
+TEST(TextRecordTest, NumbersRoundTripBitExact) {
+  Schema::Ptr schema;
+  ASSERT_TRUE(Schema::Parse("record R { d: double, l: long }", &schema).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double doubles[] = {0.1234567891, 1e-9, -0.0, inf, -inf,
+                            1.5e300,      3.0,  nan,  -nan};
+  const int64_t longs[] = {INT64_MIN, INT64_MAX, 0, -1};
+  for (size_t i = 0; i < std::size(doubles); ++i) {
+    const std::string line = FormatTextRecord(
+        *schema, Value::Record({Value::Double(doubles[i]),
+                                Value::Int64(longs[i % std::size(longs)])}));
+    Value parsed;
+    ASSERT_TRUE(ParseTextRecord(*schema, line, &parsed).ok()) << line;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed.elements()[0].double_value()),
+              std::bit_cast<uint64_t>(doubles[i]))
+        << line;
+    EXPECT_EQ(parsed.elements()[1].int64_value(), longs[i % std::size(longs)]);
+  }
+  EXPECT_EQ(Value::Double(3.0).ToString(), "3.0");
+  EXPECT_EQ(Value::Double(-0.0).ToString(), "-0.0");
+  EXPECT_EQ(Value::Double(1e-9).ToString(), "1e-09");
+  // Text written elsewhere may sign a double with one '+'.
+  Value parsed;
+  ASSERT_TRUE(ParseTextRecord(*schema, "+1.5\t7", &parsed).ok());
+  EXPECT_EQ(parsed.elements()[0].double_value(), 1.5);
+  ASSERT_TRUE(ParseTextRecord(*schema, "+inf\t7", &parsed).ok());
+  EXPECT_EQ(parsed.elements()[0].double_value(), inf);
+  EXPECT_FALSE(ParseTextRecord(*schema, "++1.5\t7", &parsed).ok());
+  EXPECT_FALSE(ParseTextRecord(*schema, "+-1.5\t7", &parsed).ok());
 }
 
 TEST(TextRecordTest, MalformedLinesRejected) {

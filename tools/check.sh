@@ -2,7 +2,9 @@
 # CI entry point: builds and runs the full test suite four ways —
 # plain, under ThreadSanitizer (the parallel engine's data-race gate),
 # under AddressSanitizer, and under UndefinedBehaviorSanitizer (the
-# decode-path gate: shifts/overflows on untrusted bytes). Usage:
+# decode-path gate: shifts/overflows on untrusted bytes). The suite
+# includes oracle_test, the seeded differential oracle (COLMR_FAULT_SEED,
+# default 17). Usage:
 #
 #   tools/check.sh            # all four configurations
 #   tools/check.sh plain      # just the normal build

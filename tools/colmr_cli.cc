@@ -26,8 +26,8 @@
 //                                               run a scan job; with p > 0,
 //                                               inject transient read
 //                                               errors with probability p
-//                                               (--batch-rows=1 disables
-//                                               the vectorized map loop).
+//                                               (--batch-rows=1 decodes
+//                                               one-row batches).
 //                                               --out turns the scan into a
 //                                               record-count MapReduce job
 //                                               whose output commits
