@@ -1,4 +1,4 @@
-// Block cache and readahead benchmark (DESIGN.md §9): the Table-1-style
+// Block cache benchmark (DESIGN.md §9): the Table-1-style
 // projected CIF scan — find content-types of pages whose URL matches —
 // run repeatedly over the same dataset, cache off vs on. The first cached
 // run pays the verifying read path and warms the cache; subsequent runs
@@ -115,7 +115,6 @@ int main() {
   // Cache on: one cold run warms it, then the measured warm re-scans.
   Job on_job = ScanJob();
   on_job.config.cache_bytes = 512ull << 20;
-  on_job.config.readahead_bytes = 512 * 1024;
   on_job.config.prefetch_depth = 4;
   const RunRow cold_row = RunOnce(&runner, on_job);
   double warm_wall = 0;

@@ -28,10 +28,11 @@ constexpr uint64_t kBaseRecords = 150000;
 /// One pushdown-sweep arm over the zoned dataset: aggregates int0 for
 /// rows with seq < cutoff, either by pushing `seq < cutoff` into the
 /// format (zone-map pruning + selection vectors) or by checking it inside
-/// the map function over a full scan. Returns sim-seconds; *sum and
-/// *matches receive the aggregate for the outputs_match check.
-double RunZonedScan(MiniHdfs* fs, const std::string& path, int64_t cutoff,
-                    bool pushdown, uint64_t* sum, uint64_t* matches) {
+/// the map function over a full scan. Returns the scan's time and I/O;
+/// *sum and *matches receive the aggregate for the outputs_match check.
+bench::ScanResult RunZonedScan(MiniHdfs* fs, const std::string& path,
+                               int64_t cutoff, bool pushdown, uint64_t* sum,
+                               uint64_t* matches) {
   ColumnInputFormat format;
   JobConfig config;
   config.input_paths = {path};
@@ -45,16 +46,13 @@ double RunZonedScan(MiniHdfs* fs, const std::string& path, int64_t cutoff,
   }
   *sum = 0;
   *matches = 0;
-  bench::ScanResult result =
-      bench::ScanDataset(fs, &format, config, [&](Record& record) {
-        if (!pushdown &&
-            record.GetOrDie("seq").int64_value() >= cutoff) {
-          return;
-        }
-        *sum += static_cast<uint64_t>(record.GetOrDie("int0").int32_value());
-        ++*matches;
-      });
-  return result.sim_seconds;
+  return bench::ScanDataset(fs, &format, config, [&](Record& record) {
+    if (!pushdown && record.GetOrDie("seq").int64_value() >= cutoff) {
+      return;
+    }
+    *sum += static_cast<uint64_t>(record.GetOrDie("int0").int32_value());
+    ++*matches;
+  });
 }
 
 double RunScan(MiniHdfs* fs, const std::string& path, bool lazy) {
@@ -141,8 +139,9 @@ int main() {
   // the rowgroups for `seq < cutoff`. The comparison arm runs the same
   // filter inside the map function over a full scan.
   std::printf("\n=== Pushdown: seq < cutoff vs filter-in-map ===\n");
-  std::printf("%12s %15s %12s %10s %10s\n", "Selectivity", "filter-map(s)",
-              "pushdown(s)", "speedup", "pruned_rg");
+  std::printf("%12s %15s %12s %10s %10s %12s %12s %10s\n", "Selectivity",
+              "filter-map(s)", "pushdown(s)", "speedup", "pruned_rg",
+              "map_bytes", "push_bytes", "wall_x");
   auto zfs = std::make_unique<MiniHdfs>(
       bench::PaperCluster(), std::make_unique<ColumnPlacementPolicy>(10));
   {
@@ -162,26 +161,36 @@ int main() {
     const int64_t cutoff =
         static_cast<int64_t>(selectivity * static_cast<double>(records));
     uint64_t map_sum = 0, map_matches = 0;
-    const double filter_map_seconds = RunZonedScan(
+    const bench::ScanResult filter_map = RunZonedScan(
         zfs.get(), "/zoned", cutoff, false, &map_sum, &map_matches);
     const uint64_t pruned_before = pruned_rowgroups->value();
     uint64_t push_sum = 0, push_matches = 0;
-    const double pushdown_seconds = RunZonedScan(
+    const bench::ScanResult pushdown = RunZonedScan(
         zfs.get(), "/zoned", cutoff, true, &push_sum, &push_matches);
     const uint64_t pruned = pruned_rowgroups->value() - pruned_before;
     const bool outputs_match =
         map_sum == push_sum && map_matches == push_matches;
-    std::printf("%11.1f%% %15.3f %12.3f %9.2fx %10llu%s\n",
-                selectivity * 100, filter_map_seconds, pushdown_seconds,
-                filter_map_seconds / pushdown_seconds,
+    // ScanDataset times the scan loop with a steady clock: wall seconds.
+    const double wall_speedup = filter_map.cpu_seconds / pushdown.cpu_seconds;
+    std::printf("%11.1f%% %15.3f %12.3f %9.2fx %10llu %12llu %12llu %9.2fx%s\n",
+                selectivity * 100, filter_map.sim_seconds,
+                pushdown.sim_seconds,
+                filter_map.sim_seconds / pushdown.sim_seconds,
                 static_cast<unsigned long long>(pruned),
-                outputs_match ? "" : "  OUTPUT MISMATCH");
+                static_cast<unsigned long long>(filter_map.io.TotalBytes()),
+                static_cast<unsigned long long>(pushdown.io.TotalBytes()),
+                wall_speedup, outputs_match ? "" : "  OUTPUT MISMATCH");
     report.AddRow()
         .Set("arm", "pushdown")
         .Set("selectivity", selectivity)
-        .Set("filter_in_map_seconds", filter_map_seconds)
-        .Set("pushdown_seconds", pushdown_seconds)
-        .Set("speedup", filter_map_seconds / pushdown_seconds)
+        .Set("filter_in_map_seconds", filter_map.sim_seconds)
+        .Set("pushdown_seconds", pushdown.sim_seconds)
+        .Set("speedup", filter_map.sim_seconds / pushdown.sim_seconds)
+        .Set("filter_in_map_wall_seconds", filter_map.cpu_seconds)
+        .Set("pushdown_wall_seconds", pushdown.cpu_seconds)
+        .Set("wall_speedup", wall_speedup)
+        .Set("filter_in_map_bytes", filter_map.io.TotalBytes())
+        .Set("pushdown_bytes", pushdown.io.TotalBytes())
         .Set("pruned_rowgroups", pruned)
         .Set("matches", push_matches)
         .Set("outputs_match", outputs_match);

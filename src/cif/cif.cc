@@ -97,6 +97,50 @@ bool SplitRefuted(MiniHdfs* fs, const std::string& dir, const Schema& schema,
   return !PredicateCanMatch(predicate, lookup);
 }
 
+/// Marks the rowgroups of a `row_count`-row split whose zone maps refute
+/// `predicate` (1 = refuted). `stats` is aligned with `projection`; a
+/// column's stats only participate when present and when their geometry
+/// matches the split (same rows per group, a group for every
+/// kCifStatsRowGroup rows).
+std::vector<uint8_t> PruneMap(const Predicate& predicate,
+                              const Schema& schema,
+                              const std::vector<int>& projection,
+                              const std::vector<ColumnFileStats>& stats,
+                              const std::vector<uint8_t>& present,
+                              uint64_t row_count) {
+  const uint64_t n_groups =
+      (row_count + kCifStatsRowGroup - 1) / kCifStatsRowGroup;
+  std::vector<uint8_t> pruned(n_groups, 0);
+  std::vector<std::pair<std::string, const ColumnFileStats*>> usable;
+  for (size_t p = 0; p < projection.size(); ++p) {
+    if (present[p] != 0 && stats[p].rows_per_group == kCifStatsRowGroup &&
+        stats[p].groups.size() == n_groups) {
+      usable.emplace_back(schema.fields()[projection[p]].name, &stats[p]);
+    }
+  }
+  if (usable.empty()) return pruned;
+  for (uint64_t g = 0; g < n_groups; ++g) {
+    const auto lookup = [&](const std::string& name) -> const ColumnStats* {
+      for (const auto& [n, s] : usable) {
+        if (n == name) return &s->groups[g];
+      }
+      return nullptr;
+    };
+    if (!PredicateCanMatch(predicate, lookup)) pruned[g] = 1;
+  }
+  return pruned;
+}
+
+/// True when a refuted rowgroup precedes an unrefuted one. Only then does
+/// the scan skip into a rowgroup it reads, so only then can a column jump:
+/// a refuted run reaching the end of the split moves no column.
+bool PrunedRunEndsEarly(const std::vector<uint8_t>& pruned) {
+  for (size_t g = 1; g < pruned.size(); ++g) {
+    if (pruned[g - 1] != 0 && pruned[g] == 0) return true;
+  }
+  return false;
+}
+
 /// Delegating record that answers Get() for evolved-away columns with
 /// Null, forwarding everything else to the split's real record.
 class NullPaddingRecord final : public Record {
@@ -192,15 +236,15 @@ class CifRecordReader final : public RecordReader {
                   bool lazy, std::vector<std::string> missing_columns,
                   MetricsRegistry* metrics, TraceCollector* trace,
                   std::shared_ptr<const Predicate> predicate, bool pushdown,
-                  std::vector<ColumnFileStats> stats,
-                  std::vector<uint8_t> stats_present)
+                  std::vector<uint8_t> pruned)
       : schema_(schema),
         projection_(std::move(projection)),
         columns_(std::move(columns)),
         lazy_(lazy),
         trace_(trace),
         predicate_(std::move(predicate)),
-        pushdown_(pushdown && predicate_ != nullptr) {
+        pushdown_(pushdown && predicate_ != nullptr),
+        pruned_(std::move(pruned)) {
     m_records_ = metrics->counter(lazy ? "cif.records.lazy"
                                        : "cif.records.eager");
     row_count_ = columns_.empty() ? 0 : columns_.front()->row_count();
@@ -217,7 +261,6 @@ class CifRecordReader final : public RecordReader {
         lane_of_field_.emplace_back(schema_->fields()[projection_[p]].name,
                                     static_cast<int>(p));
       }
-      BuildPruneMap(stats, stats_present);
     }
     std::vector<ColumnFileReader*> by_field(schema_->fields().size(), nullptr);
     for (size_t p = 0; p < projection_.size(); ++p) {
@@ -338,37 +381,6 @@ class CifRecordReader final : public RecordReader {
   }
 
  private:
-  /// Marks the rowgroups whose zone maps refute the predicate. `stats` is
-  /// aligned with projection_; a column's stats only participate when
-  /// present and when their geometry matches this split (same rows per
-  /// group, a group for every kCifStatsRowGroup rows).
-  void BuildPruneMap(const std::vector<ColumnFileStats>& stats,
-                     const std::vector<uint8_t>& stats_present) {
-    const uint64_t n_groups =
-        (row_count_ + kCifStatsRowGroup - 1) / kCifStatsRowGroup;
-    pruned_.assign(n_groups, 0);
-    std::vector<std::pair<std::string, const ColumnFileStats*>> usable;
-    for (size_t p = 0; p < stats.size() && p < projection_.size(); ++p) {
-      if (stats_present.size() > p && stats_present[p] != 0 &&
-          stats[p].rows_per_group == kCifStatsRowGroup &&
-          stats[p].groups.size() == n_groups) {
-        usable.emplace_back(schema_->fields()[projection_[p]].name,
-                            &stats[p]);
-      }
-    }
-    if (usable.empty()) return;
-    for (uint64_t g = 0; g < n_groups; ++g) {
-      const auto lookup =
-          [&](const std::string& name) -> const ColumnStats* {
-        for (const auto& [n, s] : usable) {
-          if (n == name) return &s->groups[g];
-        }
-        return nullptr;
-      };
-      if (!PredicateCanMatch(*predicate_, lookup)) pruned_[g] = 1;
-    }
-  }
-
   /// First unpruned row at or after `row` (row_count_ when none remain).
   uint64_t NextUnprunedRow(uint64_t row) const {
     uint64_t g = row / kCifStatsRowGroup;
@@ -387,12 +399,13 @@ class CifRecordReader final : public RecordReader {
   }
 
   /// Advances the scan from row `from` to `to` past pruned rowgroups.
-  /// Eager readers skip every column file through the skip-list/block
-  /// machinery; the lazy record skips per column on first touch, so only
-  /// the row index moves here.
+  /// Eager readers skip every column file through SkipRows, jumping over
+  /// the run where the rowgroup offsets allow; the lazy record skips per
+  /// column on first touch, so only the row index moves here. A run that
+  /// reaches the end moves no column: the scan simply ends.
   Status SkipPruned(uint64_t from, uint64_t to) {
     if (to <= from) return Status::OK();
-    if (!lazy_) {
+    if (!lazy_ && to < row_count_) {
       for (const auto& column : columns_) {
         COLMR_RETURN_IF_ERROR(column->SkipRows(to - from));
       }
@@ -559,30 +572,47 @@ Status ColumnInputFormat::CreateRecordReader(
   MetricsRegistry* metrics = context.metrics != nullptr
                                  ? context.metrics
                                  : &MetricsRegistry::Default();
-  // Per-rowgroup zone maps of the predicate columns, aligned with the
-  // read set; the reader refutes rowgroups against them before decoding.
-  std::vector<ColumnFileStats> stats(projection.size());
-  std::vector<uint8_t> stats_present(projection.size(), 0);
+  // Under pushdown the predicate columns' zone maps refute rowgroups
+  // before decoding. Where a refuted run ends before the split does, the
+  // other columns' footers are read too: every column's rowgroup offsets
+  // let it jump over the run.
+  std::vector<uint8_t> pruned;
   if (config.predicate != nullptr && config.predicate_pushdown) {
     const std::vector<std::string> predicate_columns =
         PredicateColumns(*config.predicate);
+    std::vector<ColumnFileStats> stats(projection.size());
+    std::vector<uint8_t> present(projection.size(), 0);
+    const auto name_of = [&](size_t p) -> const std::string& {
+      return schema->fields()[projection[p]].name;
+    };
+    const auto in_predicate = [&](size_t p) {
+      return std::find(predicate_columns.begin(), predicate_columns.end(),
+                       name_of(p)) != predicate_columns.end();
+    };
+    const auto read_footer = [&](size_t p) -> Status {
+      const std::string path = dir + "/" + name_of(p) + ".col";
+      bool found = false;
+      COLMR_RETURN_IF_ERROR(
+          ReadColumnStats(fs, path, context, &stats[p], &found));
+      present[p] = found ? 1 : 0;
+      return Status::OK();
+    };
     for (size_t p = 0; p < projection.size(); ++p) {
-      const std::string& name = schema->fields()[projection[p]].name;
-      if (std::find(predicate_columns.begin(), predicate_columns.end(),
-                    name) == predicate_columns.end()) {
-        continue;
+      if (in_predicate(p)) COLMR_RETURN_IF_ERROR(read_footer(p));
+    }
+    pruned = PruneMap(*config.predicate, *schema, projection, stats, present,
+                      columns.empty() ? 0 : columns.front()->row_count());
+    if (PrunedRunEndsEarly(pruned)) {
+      for (size_t p = 0; p < projection.size(); ++p) {
+        if (!in_predicate(p)) COLMR_RETURN_IF_ERROR(read_footer(p));
+        if (present[p] != 0) columns[p]->UseRowgroupOffsets(stats[p]);
       }
-      bool present = false;
-      COLMR_RETURN_IF_ERROR(ReadColumnStats(fs, dir + "/" + name + ".col",
-                                            context, &stats[p], &present));
-      stats_present[p] = present ? 1 : 0;
     }
   }
   reader->reset(new CifRecordReader(
       std::move(schema), std::move(projection), std::move(columns),
       config.lazy_records, std::move(missing), metrics, context.trace,
-      config.predicate, config.predicate_pushdown, std::move(stats),
-      std::move(stats_present)));
+      config.predicate, config.predicate_pushdown, std::move(pruned)));
   return Status::OK();
 }
 

@@ -27,7 +27,11 @@ inline constexpr char kCifSchemaFileName[] = "_schema";
 // footer existed lack the magic and simply report no stats.
 
 inline constexpr char kCifStatsMagic[4] = {'C', 'S', 'T', '1'};
-inline constexpr uint64_t kCifStatsVersion = 1;
+/// v1 footers carry zone maps only. v2 adds each rowgroup's file offset
+/// and ends the payload with its CRC-32; compressed-block columns keep
+/// writing v1, because their rowgroups do not start on a block.
+inline constexpr uint64_t kCifStatsV1 = 1;
+inline constexpr uint64_t kCifStatsV2 = 2;
 
 /// Rows per stats rowgroup — aligned with kCifSkip2 so a pruned rowgroup
 /// is exactly one skip1000 jump.

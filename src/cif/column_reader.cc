@@ -50,8 +50,10 @@ Status ColumnFileReader::Open(MiniHdfs* fs, const std::string& path,
   result->m_values_read_ = metrics.counter("cif.scan.values_read");
   result->m_values_skipped_ = metrics.counter("cif.scan.values_skipped");
   result->m_rows_skipped_ = metrics.counter("cif.scan.rows_skipped");
-  result->m_rowgroups_skipped_ = metrics.counter("cif.scan.rowgroups_skipped");
+  result->m_skip_blocks_ = metrics.counter("cif.scan.skip_blocks");
   result->m_skipped_bytes_ = metrics.counter("cif.scan.skipped_bytes");
+  result->m_jumps_ = metrics.counter("cif.scan.jumps");
+  result->m_jumped_bytes_ = metrics.counter("cif.scan.jumped_bytes");
   result->m_blocks_skipped_ = metrics.counter("cif.scan.blocks_skipped");
   result->m_blocks_decompressed_ =
       metrics.counter("cif.scan.blocks_decompressed");
@@ -89,7 +91,42 @@ Status ColumnFileReader::ParseHeader() {
       type_->kind() != TypeKind::kMap) {
     return Status::Corruption("cif column: DCSL requires map type");
   }
+  body_start_ = input_->position();
   return Status::OK();
+}
+
+void ColumnFileReader::UseRowgroupOffsets(const ColumnFileStats& footer) {
+  const std::vector<uint64_t>& offsets = footer.group_offsets;
+  if (layout_ == ColumnLayout::kCompressedBlocks || offsets.empty() ||
+      footer.rows_per_group != kCifStatsRowGroup ||
+      offsets.size() !=
+          (row_count_ + kCifStatsRowGroup - 1) / kCifStatsRowGroup ||
+      offsets.front() != body_start_) {
+    return;
+  }
+  group_offsets_ = offsets;
+}
+
+uint64_t ColumnFileReader::JumpToward(uint64_t target) {
+  const uint64_t group = target / kCifStatsRowGroup;
+  if (group >= group_offsets_.size() ||
+      group <= current_row_ / kCifStatsRowGroup) {
+    return 0;
+  }
+  const uint64_t from = input_->position();
+  const uint64_t to = group_offsets_[group];
+  const uint64_t window_end = input_->window_end();
+  if (!input_->TryJump(to)) return 0;
+  // Bytes before the old window's end were requested with it: they count
+  // as skipped, like a walk's. Only the rest were never requested.
+  const uint64_t requested_end = std::clamp(window_end, from, to);
+  m_jumps_->Increment();
+  m_skipped_bytes_->Increment(requested_end - from);
+  m_jumped_bytes_->Increment(to - requested_end);
+  const uint64_t passed = group * kCifStatsRowGroup - current_row_;
+  current_row_ = group * kCifStatsRowGroup;
+  boundary_done_ = false;
+  return passed;
 }
 
 Status ColumnFileReader::ConsumeBoundary() {
@@ -318,6 +355,7 @@ Status ColumnFileReader::NextBatch(uint64_t n, ColumnBatch* batch) {
 Status ColumnFileReader::SkipRows(uint64_t n) {
   n = std::min(n, row_count_ - current_row_);
   m_rows_skipped_->Increment(n);
+  n -= JumpToward(current_row_ + n);
   if (layout_ == ColumnLayout::kCompressedBlocks) {
     while (n > 0) {
       if (block_loaded_) {
@@ -375,7 +413,7 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
       if (n >= kCifSkip2 && current_row_ % kCifSkip2 == 0 &&
           current_row_ + kCifSkip2 <= row_count_) {
         COLMR_RETURN_IF_ERROR(input_->Skip(skip1000_));
-        m_rowgroups_skipped_->Increment(kCifSkip2 / kCifSkip0);
+        m_skip_blocks_->Increment(kCifSkip2 / kCifSkip0);
         m_skipped_bytes_->Increment(skip1000_);
         current_row_ += kCifSkip2;
         n -= kCifSkip2;
@@ -385,7 +423,7 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
       if (n >= kCifSkip1 && current_row_ % kCifSkip1 == 0 &&
           current_row_ + kCifSkip1 <= row_count_) {
         COLMR_RETURN_IF_ERROR(input_->Skip(skip100_));
-        m_rowgroups_skipped_->Increment(kCifSkip1 / kCifSkip0);
+        m_skip_blocks_->Increment(kCifSkip1 / kCifSkip0);
         m_skipped_bytes_->Increment(skip100_);
         current_row_ += kCifSkip1;
         n -= kCifSkip1;
@@ -394,7 +432,7 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
       }
       if (n >= kCifSkip0 && current_row_ + kCifSkip0 <= row_count_) {
         COLMR_RETURN_IF_ERROR(input_->Skip(skip10_));
-        m_rowgroups_skipped_->Increment(1);
+        m_skip_blocks_->Increment(1);
         m_skipped_bytes_->Increment(skip10_);
         current_row_ += kCifSkip0;
         n -= kCifSkip0;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "cif/column_stats.h"
 #include "cif/options.h"
 #include "common/buffer.h"
 #include "compress/dictionary.h"
@@ -41,10 +42,20 @@ class ColumnFileReader {
   Status NextBatch(uint64_t n, ColumnBatch* batch);
 
   /// Advances n rows (clamped to the end) without materializing values.
+  /// Given rowgroup offsets, a skip into a later rowgroup first jumps to
+  /// the last rowgroup start at or before its target, when
+  /// BufferedReader::TryJump finds the jump free, and walks the rest.
   Status SkipRows(uint64_t n);
+
+  /// Adopts the v2 footer's rowgroup offsets for SkipRows. They are
+  /// advisory: ignored unless there is one per rowgroup, starting at the
+  /// first body byte, and always for compressed-block columns.
+  void UseRowgroupOffsets(const ColumnFileStats& footer);
 
   uint64_t row_count() const { return row_count_; }
   uint64_t current_row() const { return current_row_; }
+  /// File offset of the byte cursor.
+  uint64_t byte_offset() const { return input_->position(); }
   const Schema::Ptr& type() const { return type_; }
   ColumnLayout layout() const { return layout_; }
 
@@ -52,6 +63,10 @@ class ColumnFileReader {
   ColumnFileReader() = default;
 
   Status ParseHeader();
+  /// The jump half of SkipRows: moves to the last rowgroup start at or
+  /// before `target` row when the offsets and TryJump allow, and returns
+  /// the rows it passed (0 when it stayed).
+  uint64_t JumpToward(uint64_t target);
   /// Skip-list layouts: parses the boundary structure (dictionary block +
   /// skip entries) when the cursor sits on one.
   Status ConsumeBoundary();
@@ -69,6 +84,9 @@ class ColumnFileReader {
   ColumnLayout layout_ = ColumnLayout::kPlain;
   uint64_t row_count_ = 0;
   uint64_t current_row_ = 0;
+  uint64_t body_start_ = 0;
+  /// File offset of each rowgroup's first row; empty = walk every skip.
+  std::vector<uint64_t> group_offsets_;
 
   // Skip-list state.
   bool boundary_done_ = false;
@@ -93,13 +111,15 @@ class ColumnFileReader {
   TraceCollector* trace_ = nullptr;
 
   // Metric handles resolved once at Open from the ReadContext registry
-  // (cif.scan.* — the Figure 10 "row groups skipped / bytes not read"
+  // (cif.scan.* — the Figure 10 "skip blocks skipped / bytes not read"
   // counters live here).
   Counter* m_values_read_ = nullptr;
   Counter* m_values_skipped_ = nullptr;
   Counter* m_rows_skipped_ = nullptr;
-  Counter* m_rowgroups_skipped_ = nullptr;
+  Counter* m_skip_blocks_ = nullptr;
   Counter* m_skipped_bytes_ = nullptr;
+  Counter* m_jumps_ = nullptr;
+  Counter* m_jumped_bytes_ = nullptr;
   Counter* m_blocks_skipped_ = nullptr;
   Counter* m_blocks_decompressed_ = nullptr;
   Counter* m_decompressed_bytes_ = nullptr;

@@ -5,6 +5,7 @@
 
 #include "cif/column_format.h"
 #include "common/coding.h"
+#include "common/crc32.h"
 #include "serde/encoding.h"
 
 namespace colmr {
@@ -93,9 +94,10 @@ void ColumnStatsCollector::Observe(const Value& value) {
   }
 }
 
-void ColumnStatsCollector::AppendFooter(Buffer* dst) const {
+void ColumnStatsCollector::AppendFooter(
+    const std::vector<uint64_t>* group_offsets, Buffer* dst) const {
   Buffer payload;
-  PutVarint64(&payload, kCifStatsVersion);
+  PutVarint64(&payload, group_offsets != nullptr ? kCifStatsV2 : kCifStatsV1);
   PutVarint64(&payload, kCifStatsRowGroup);
   PutVarint64(&payload, groups_.size());
   for (const Group& group : groups_) {
@@ -113,6 +115,14 @@ void ColumnStatsCollector::AppendFooter(Buffer* dst) const {
     if (has_min) EncodeTaggedValue(min, &payload);
     if (has_max) EncodeTaggedValue(max, &payload);
   }
+  if (group_offsets != nullptr) {
+    uint64_t previous = 0;
+    for (uint64_t offset : *group_offsets) {
+      PutVarint64(&payload, offset - previous);
+      previous = offset;
+    }
+    PutFixed32(&payload, Crc32(payload.AsSlice()));
+  }
   dst->Append(payload.AsSlice());
   PutFixed32(dst, static_cast<uint32_t>(payload.size()));
   dst->Append(Slice(kCifStatsMagic, 4));
@@ -120,12 +130,26 @@ void ColumnStatsCollector::AppendFooter(Buffer* dst) const {
 
 namespace {
 
-/// Parses a footer payload; any malformation fails the parse (the caller
-/// then reports "no stats present").
-Status ParseStatsPayload(Slice in, ColumnFileStats* out) {
+/// Parses a footer payload that starts `footer_offset` bytes into its
+/// file; any malformation fails the parse (the caller then reports "no
+/// stats present").
+Status ParseStatsPayload(Slice in, uint64_t footer_offset,
+                         ColumnFileStats* out) {
+  const Slice payload = in;
   uint64_t version = 0;
   COLMR_RETURN_IF_ERROR(GetVarint64(&in, &version));
-  if (version != kCifStatsVersion) {
+  if (version == kCifStatsV2) {
+    // The CRC guards the bounds and offsets: a flipped bound could prune
+    // a matching row, and a flipped offset misalign decoding.
+    if (in.size() < 4) return Status::Corruption("cif stats: no checksum");
+    Slice stored(in.data() + in.size() - 4, 4);
+    uint32_t crc = 0;
+    COLMR_RETURN_IF_ERROR(GetFixed32(&stored, &crc));
+    if (Crc32(payload.Prefix(payload.size() - 4)) != crc) {
+      return Status::Corruption("cif stats: checksum mismatch");
+    }
+    in = in.Prefix(in.size() - 4);
+  } else if (version != kCifStatsV1) {
     return Status::Corruption("cif stats: unknown footer version");
   }
   COLMR_RETURN_IF_ERROR(GetVarint64(&in, &out->rows_per_group));
@@ -185,6 +209,26 @@ Status ParseStatsPayload(Slice in, ColumnFileStats* out) {
   }
   out->file.has_min = out->file.has_min && file_has_min;
   out->file.has_max = out->file.has_max && file_has_max;
+  if (version == kCifStatsV2) {
+    // Advisory: a table running past the footer's start is dropped, not
+    // trusted. An offset may equal it: a null-typed column's values take
+    // no bytes, so its rows all resume where the body ends. Deltas are
+    // unsigned, so offsets never decrease unless they wrap, which the
+    // same bound rules out.
+    bool usable = true;
+    uint64_t offset = 0;
+    out->group_offsets.reserve(n_groups);
+    for (uint64_t g = 0; g < n_groups; ++g) {
+      uint64_t delta = 0;
+      COLMR_RETURN_IF_ERROR(GetVarint64(&in, &delta));
+      usable = usable && delta <= footer_offset - offset;
+      if (usable) {
+        offset += delta;
+        out->group_offsets.push_back(offset);
+      }
+    }
+    if (!usable) out->group_offsets.clear();
+  }
   if (!in.empty()) {
     return Status::Corruption("cif stats: trailing payload bytes");
   }
@@ -216,7 +260,10 @@ Status ReadColumnStats(MiniHdfs* fs, const std::string& path,
     return Status::OK();
   }
   ColumnFileStats parsed;
-  if (!ParseStatsPayload(Slice(payload), &parsed).ok()) return Status::OK();
+  if (!ParseStatsPayload(Slice(payload), size - 8 - payload_len, &parsed)
+           .ok()) {
+    return Status::OK();
+  }
   *out = std::move(parsed);
   *present = true;
   return Status::OK();

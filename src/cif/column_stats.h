@@ -15,18 +15,24 @@ namespace colmr {
 // Zone-map statistics footer of a CIF column file (DESIGN.md §13).
 //
 // Layout, appended after the column body:
-//   payload:  varint version (1)
+//   payload:  varint version (1 or 2)
 //             varint rows_per_group (kCifStatsRowGroup)
 //             varint n_groups
 //             per group: varint values, varint nulls, flags byte
 //                        (bit0 = has_min, bit1 = has_max),
 //                        [tagged min], [tagged max]
+//             v2 only: per group, varint delta of its file offset from
+//                      the previous group's (the first from 0), then
+//                      fixed32 CRC-32 of every payload byte before it
 //   trailer:  fixed32 payload length, magic "CST1"
 //
 // Min/max use the self-describing tagged encoding so the footer can be
-// read without the column schema. The footer is versioned and strictly
-// advisory: files written before it existed — or whose trailer fails any
-// check — simply report no stats, and scans over them never prune.
+// read without the column schema. A group's offset is where its first
+// row resumes: its first skip block (DCSL: its dictionary block), or its
+// first value in a plain column. The footer is versioned and strictly
+// advisory: files written before it existed — or whose trailer or CRC
+// fails any check — simply report no stats, and scans over them never
+// prune.
 
 /// Per-rowgroup accumulator the column writer feeds one value at a time.
 /// Bool/int/double/string/bytes columns get min/max; containers and
@@ -40,8 +46,10 @@ class ColumnStatsCollector {
   /// Accounts one appended value to the current rowgroup.
   void Observe(const Value& value);
 
-  /// Serializes the footer (payload + trailer) for the rows seen so far.
-  void AppendFooter(Buffer* dst) const;
+  /// Serializes the footer (payload + trailer) for the rows seen so far:
+  /// v2 with `group_offsets`, one per rowgroup, or v1 when it is null.
+  void AppendFooter(const std::vector<uint64_t>* group_offsets,
+                    Buffer* dst) const;
 
  private:
   struct Group {
@@ -61,13 +69,18 @@ struct ColumnFileStats {
   uint64_t rows_per_group = 0;
   std::vector<ColumnStats> groups;
   ColumnStats file;
+  /// v2: each group's file offset, non-decreasing (null-typed values are
+  /// zero bytes wide) and at most the footer's start. Empty for v1
+  /// footers and for a v2 table failing those checks.
+  std::vector<uint64_t> group_offsets;
 };
 
 /// Reads the stats footer of the column file at `path` with a positioned
 /// tail read (the sequential scan cursor is untouched). Stats are
 /// advisory: every failure mode — missing footer, old file, unreadable
-/// tail, corrupt or unknown-version payload — reports *present = false
-/// with an OK status, so a scan can never fail because of its zone maps.
+/// tail, CRC mismatch, corrupt or unknown-version payload — reports
+/// *present = false with an OK status, so a scan can never fail because
+/// of its zone maps.
 Status ReadColumnStats(MiniHdfs* fs, const std::string& path,
                        const ReadContext& context, ColumnFileStats* out,
                        bool* present);

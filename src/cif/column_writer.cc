@@ -62,7 +62,8 @@ int SkipEntryCount(uint64_t r) {
 
 }  // namespace
 
-Status ColumnFileWriter::CloseSkipList(Buffer* body) const {
+Status ColumnFileWriter::CloseSkipList(
+    Buffer* body, std::vector<uint64_t>* group_offsets) const {
   const bool has_dict = options_.layout == ColumnLayout::kDictSkipList;
   const uint64_t n = sizes_.size();
 
@@ -95,6 +96,9 @@ Status ColumnFileWriter::CloseSkipList(Buffer* body) const {
     offset += sizes_[r];
   }
   const uint64_t body_end = offset;
+  for (uint64_t r = 0; r < n; r += kCifStatsRowGroup) {
+    group_offsets->push_back(block_pos[r / kCifSkip0]);
+  }
   auto target = [&](uint64_t row) {
     return row < n ? block_pos[row / kCifSkip0] : body_end;
   };
@@ -164,26 +168,38 @@ Status ColumnFileWriter::Close() {
   }
   file_->Append(header.AsSlice());
 
+  // Body offset of each rowgroup's first row, for the v2 footer.
+  std::vector<uint64_t> group_offsets;
   Buffer body;
   switch (options_.layout) {
-    case ColumnLayout::kPlain:
+    case ColumnLayout::kPlain: {
       file_->Append(values_.AsSlice());
-      body.Clear();
+      uint64_t offset = 0;
+      for (uint64_t r = 0; r < sizes_.size(); ++r) {
+        if (r % kCifStatsRowGroup == 0) group_offsets.push_back(offset);
+        offset += sizes_[r];
+      }
       break;
+    }
     case ColumnLayout::kSkipList:
     case ColumnLayout::kDictSkipList:
-      COLMR_RETURN_IF_ERROR(CloseSkipList(&body));
+      COLMR_RETURN_IF_ERROR(CloseSkipList(&body, &group_offsets));
       break;
     case ColumnLayout::kCompressedBlocks:
       COLMR_RETURN_IF_ERROR(CloseCompressedBlocks(&body));
       break;
   }
   file_->Append(body.AsSlice());
+  for (uint64_t& offset : group_offsets) offset += header.size();
   // Zone-map footer, after the body. Readers stop at row_count, and every
   // skip-list target clamps to body end, so the trailing bytes are
   // invisible to scans; only ReadColumnStats looks at them.
+  // Compressed-block rowgroups do not start on a block: v1, no offsets.
   Buffer footer;
-  stats_.AppendFooter(&footer);
+  stats_.AppendFooter(
+      options_.layout == ColumnLayout::kCompressedBlocks ? nullptr
+                                                         : &group_offsets,
+      &footer);
   file_->Append(footer.AsSlice());
   return file_->Close();
 }

@@ -19,6 +19,8 @@ namespace colmr {
 //   header:  magic "COL1", layout byte, varint row count, length-prefixed
 //            column type text, layout parameters
 //   body:    per layout, see options.h
+//   footer:  zone maps, plus each rowgroup's file offset outside the
+//            compressed-block layout (column_stats.h)
 //
 // Skip-list body (Fig. 6): before every 10th row a skip block of fixed32
 // entries — skip1000 (rows ≡ 0 mod 1000), skip100 (mod 100), skip10 —
@@ -56,7 +58,10 @@ class ColumnFileWriter {
   ColumnFileWriter(std::unique_ptr<FileWriter> file, Schema::Ptr type,
                    const ColumnOptions& options);
 
-  Status CloseSkipList(Buffer* body) const;
+  /// Emits the skip-list body; *group_offsets receives the body offset
+  /// of every rowgroup's first skip block.
+  Status CloseSkipList(Buffer* body,
+                       std::vector<uint64_t>* group_offsets) const;
   Status CloseCompressedBlocks(Buffer* body) const;
 
   std::unique_ptr<FileWriter> file_;

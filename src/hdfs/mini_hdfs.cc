@@ -752,7 +752,10 @@ FileReader::FileReader(const MiniHdfs* fs, std::string path,
   metrics.counter("hdfs.open.count")->Increment();
 }
 
-void FileReader::CountSeek() const { m_seeks_->Increment(); }
+void FileReader::CountSeek() const {
+  if (context_.stats != nullptr) context_.stats->seeks += 1;
+  m_seeks_->Increment();
+}
 
 namespace {
 

@@ -61,10 +61,6 @@ struct ReadContext {
   uint64_t fault_salt = 0;
   MetricsRegistry* metrics = nullptr;  // null -> MetricsRegistry::Default()
   TraceCollector* trace = nullptr;     // null -> tracing off
-  /// Readahead window for sequential buffered reads: once a stream looks
-  /// sequential, BufferedReader widens its fills to this many bytes.
-  /// 0 disables (fills stay at io.file.buffer.size).
-  uint64_t readahead_bytes = 0;
   /// Upcoming HDFS blocks to warm into the block cache ahead of a
   /// sequential scan. 0 disables. Effective only when the filesystem has
   /// a block cache attached and prefetch_pool is set.
@@ -399,21 +395,14 @@ class FileReader {
  public:
   uint64_t size() const { return size_; }
 
-  /// The context's stats sink (may be null). BufferedReader uses this to
-  /// charge seeks.
-  IoStats* stats() const { return context_.stats; }
-
-  /// Charges one positioned seek to the hdfs.seek.count metric.
-  /// BufferedReader calls this alongside stats()->seeks.
+  /// Charges one positioned seek to the stats sink and the
+  /// hdfs.seek.count metric. BufferedReader calls this whenever it
+  /// positions the stream.
   void CountSeek() const;
 
   /// The trace collector this reader emits hdfs.read spans to (null when
   /// tracing is off). Downstream layers (CIF) reuse it for their spans.
   TraceCollector* trace() const { return context_.trace; }
-
-  /// Readahead window requested by the opener (ReadContext), consulted by
-  /// BufferedReader when widening sequential fills.
-  uint64_t readahead_bytes() const { return context_.readahead_bytes; }
 
   /// True when this reader can warm upcoming blocks asynchronously: a
   /// cache is attached and the opener supplied a prefetch pool + depth.

@@ -49,14 +49,9 @@ Status BufferedReader::Fill(size_t min_bytes) {
   CompactToCursor();
   const uint64_t fetch_from = buffer_start_ + buffer_.size();
   if (fetch_from >= file_->size()) return Status::OK();
-  uint64_t want = std::max<uint64_t>(buffer_size_,
-                                     min_bytes > buffer_.size()
-                                         ? min_bytes - buffer_.size()
-                                         : 0);
-  // Sequential readahead: widen the fill once the pattern is established,
-  // trading buffered bytes for fewer positioned reads.
-  const uint64_t readahead = file_->readahead_bytes();
-  if (readahead > want && sequential_fills_ >= 1) want = readahead;
+  const uint64_t want = std::max<uint64_t>(
+      buffer_size_, min_bytes > buffer_.size() ? min_bytes - buffer_.size()
+                                               : 0);
   if (buffer_.empty()) {
     // Zero-copy fast path: serve the window straight out of a cached
     // block. Only adopted when it satisfies this fill in one piece; a
@@ -72,7 +67,6 @@ Status BufferedReader::Fill(size_t min_bytes) {
       view_ = view;
       if (!ever_read_) {
         ever_read_ = true;
-        if (file_->stats() != nullptr) file_->stats()->seeks += 1;
         file_->CountSeek();
       }
       ++sequential_fills_;
@@ -85,7 +79,6 @@ Status BufferedReader::Fill(size_t min_bytes) {
   if (!ever_read_) {
     // Initial positioning of the stream counts as one seek.
     ever_read_ = true;
-    if (file_->stats() != nullptr) file_->stats()->seeks += 1;
     file_->CountSeek();
   }
   buffer_.append(chunk);
@@ -95,8 +88,8 @@ Status BufferedReader::Fill(size_t min_bytes) {
 }
 
 Status BufferedReader::Peek(size_t n, Slice* out) {
-  const uint64_t window_end = buffer_start_ + window_size();
-  const size_t have = window_end > position_ ? window_end - position_ : 0;
+  const uint64_t end = window_end();
+  const size_t have = end > position_ ? end - position_ : 0;
   if (have < n) {
     COLMR_RETURN_IF_ERROR(Fill(n));
   }
@@ -121,16 +114,13 @@ Status BufferedReader::Seek(uint64_t offset) {
   buffer_start_ = offset;
   position_ = offset;
   sequential_fills_ = 0;
-  if (ever_read_) {
-    if (file_->stats() != nullptr) file_->stats()->seeks += 1;
-    file_->CountSeek();
-  }
+  if (ever_read_) file_->CountSeek();
   return Status::OK();
 }
 
 Status BufferedReader::Skip(uint64_t n) {
   const uint64_t target = std::min(position_ + n, file_->size());
-  const uint64_t buffered_end = buffer_start_ + window_size();
+  const uint64_t buffered_end = window_end();
   if (target <= buffered_end) {
     position_ = target;
     return Status::OK();
@@ -168,6 +158,30 @@ Status BufferedReader::Skip(uint64_t n) {
     return Status::OK();
   }
   return Seek(target);
+}
+
+bool BufferedReader::TryJump(uint64_t offset) {
+  if (offset < position_) return false;
+  if (offset <= window_end()) {
+    position_ = offset;
+    return true;
+  }
+  Slice view;
+  std::shared_ptr<const std::string> pin;
+  if (!file_->TryReadView(offset, buffer_size_, &view, &pin)) return false;
+  // The new window is a pinned view of the cached target block: nothing
+  // is fetched from a datanode, so no seek is charged (DESIGN.md §9).
+  buffer_.clear();
+  pin_ = std::move(pin);
+  view_ = view;
+  buffer_start_ = offset;
+  position_ = offset;
+  sequential_fills_ = 1;
+  if (!ever_read_) {
+    ever_read_ = true;
+    file_->CountSeek();
+  }
+  return true;
 }
 
 Status BufferedReader::ReadVarint64(uint64_t* value) {

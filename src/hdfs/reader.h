@@ -21,11 +21,9 @@ namespace colmr {
 /// Cache integration (DESIGN.md §9): when the underlying FileReader has a
 /// block cache attached, fills landing inside a cached block are served
 /// as a pinned zero-copy view of the cached bytes instead of a copy into
-/// the owned buffer. Two knobs ride in through the FileReader's
-/// ReadContext: `readahead_bytes` widens sequential fills beyond the
-/// buffer size, and `prefetch_depth` schedules asynchronous warming of
-/// upcoming blocks once the access pattern looks sequential (two fills
-/// without an out-of-window reposition).
+/// the owned buffer. The ReadContext's `prefetch_depth` schedules
+/// asynchronous warming of upcoming blocks once the access pattern looks
+/// sequential (two fills without an out-of-window reposition).
 class BufferedReader {
  public:
   /// buffer_size == 0 uses the filesystem's configured io_buffer_size.
@@ -66,6 +64,17 @@ class BufferedReader {
   /// moved.
   Status Skip(uint64_t n);
 
+  /// Moves the cursor forward to `offset` without reading the bytes in
+  /// between, when that is free (DESIGN.md §13): the target is inside the
+  /// window, or its block is cached (served as a view; a cache hit
+  /// charges no seek). Otherwise, and for a backward target, returns
+  /// false with nothing moved.
+  bool TryJump(uint64_t offset);
+
+  /// File offset just past the buffered window. Bytes before it have been
+  /// requested; a jump past it leaves the rest unrequested.
+  uint64_t window_end() const { return buffer_start_ + window_size(); }
+
   // Convenience decoders over Peek/Consume.
   Status ReadVarint64(uint64_t* value);
   Status ReadFixed32(uint32_t* value);
@@ -105,7 +114,7 @@ class BufferedReader {
   Slice view_;
   bool ever_read_ = false;
   /// Consecutive forward fills without an out-of-window reposition; >= 2
-  /// marks the stream sequential for readahead/prefetch purposes.
+  /// marks the stream sequential for prefetch purposes.
   uint64_t sequential_fills_ = 0;
 };
 

@@ -319,10 +319,9 @@ class JobRun {
     IoStats plan_io;
     for (int attempt = 0; attempt < MaxAttempts(); ++attempt) {
       ScopedSpan plan_span(trace_, "plan.splits", "mr");
-      ReadContext plan_context{kAnyNode, &plan_io,
-                               AttemptSalt(kPlanReadSaltDomain, 0, attempt),
-                               metrics_, trace_};
-      plan_context.readahead_bytes = config_.readahead_bytes;
+      const ReadContext plan_context{
+          kAnyNode, &plan_io, AttemptSalt(kPlanReadSaltDomain, 0, attempt),
+          metrics_, trace_};
       splits_.clear();
       planned =
           job_.input_format->GetSplits(fs_, config_, plan_context, &splits_);
@@ -673,7 +672,6 @@ class JobRun {
     ReadContext context{node, &task->io,
                         AttemptSalt(kMapReadSaltDomain, i, attempt), metrics_,
                         trace_};
-    context.readahead_bytes = config_.readahead_bytes;
     context.prefetch_depth = config_.prefetch_depth;
     context.prefetch_pool = prefetch_pool_.get();
     context.cancel = superseded;

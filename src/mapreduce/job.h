@@ -100,17 +100,13 @@ struct JobConfig {
   /// parallelism != 1 — the serial engine has no one to race.
   bool speculative_execution = false;
 
-  // ---- Block cache and readahead (DESIGN.md §9) ----
+  // ---- Block cache and prefetch (DESIGN.md §9) ----
   /// Capacity of the shared cache of verified block bytes the job's
   /// readers go through. 0 (default) = no cache: every read pays the
   /// full replica-selection + checksum path, as before this knob
   /// existed. The cache attaches to the filesystem and persists across
   /// jobs, so a second job over the same data starts warm.
   uint64_t cache_bytes = 0;
-  /// Readahead window for sequential scans: once a stream looks
-  /// sequential, buffered fills widen to this many bytes (0 = fills stay
-  /// at io.file.buffer.size). Works with or without the cache.
-  uint64_t readahead_bytes = 0;
   /// Upcoming HDFS blocks to warm into the cache asynchronously, per
   /// sequential stream. 0 = no prefetch. Requires cache_bytes > 0; warm
   /// tasks run on a small dedicated pool the engine owns for the run.

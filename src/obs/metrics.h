@@ -18,7 +18,7 @@
 //
 // Naming scheme: `<layer>.<subject>.<aspect>` with layers
 // hdfs / cif / serde / mr, e.g. "hdfs.read.remote_bytes",
-// "cif.scan.rowgroups_skipped", "mr.task.retries".
+// "cif.scan.skip_blocks", "mr.task.retries".
 
 #include <array>
 #include <atomic>

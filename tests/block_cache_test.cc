@@ -1,8 +1,8 @@
-// Tests for the shared block cache and columnar readahead (DESIGN.md §9):
+// Tests for the shared block cache and block prefetch (DESIGN.md §9):
 // BlockCache LRU/charging semantics, FileReader read-through and
 // invalidation (a corrupted replica must never be served from the cache),
 // and asynchronous prefetch. Job output equal to a reference with the
-// cache, readahead and prefetch on or off, cold or warm, with and without
+// cache and prefetch on or off, cold or warm, with and without
 // a corrupted replica, is oracle_test's.
 
 #include <gtest/gtest.h>
@@ -353,7 +353,6 @@ TEST(CacheJobTest, CifScanIssuesPrefetchAndHitsOnRescan) {
   job.config.projection = {"url", "content"};
   job.config.lazy_records = false;
   job.config.cache_bytes = 16 << 20;
-  job.config.readahead_bytes = 16 * 1024;
   job.config.prefetch_depth = 3;
   job.config.metrics = &metrics;
   job.input_format = std::make_shared<ColumnInputFormat>();

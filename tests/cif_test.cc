@@ -5,11 +5,13 @@
 #include "cif/cif.h"
 #include "cif/cof.h"
 #include "cif/column_reader.h"
+#include "cif/column_stats.h"
 #include "cif/column_writer.h"
 #include "cif/lazy_record.h"
 #include "cif/loader.h"
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/job.h"
+#include "obs/metrics.h"
 #include "workload/synthetic.h"
 
 namespace colmr {
@@ -87,7 +89,10 @@ TEST_P(ColumnLayoutTest, SequentialRoundTrip) {
 
 TEST_P(ColumnLayoutTest, RandomSkipPatternsMatchSequential) {
   // Property: any interleaving of SkipRows and one-row NextBatch observes
-  // exactly the values a sequential scan would at those rows.
+  // exactly the values a sequential scan would at those rows — walking
+  // the skip lists, or jumping by the footer's rowgroup offsets. Walks
+  // run uncached; jumps run once the block cache is attached, so every
+  // rowgroup-crossing skip can land in a cached block.
   const ColumnLayout layout = GetParam();
   auto fs = MakeFs();
   const bool is_map = layout == ColumnLayout::kDictSkipList;
@@ -110,11 +115,24 @@ TEST_P(ColumnLayoutTest, RandomSkipPatternsMatchSequential) {
   }
   ASSERT_TRUE(writer->Close().ok());
 
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
+  ColumnFileStats footer;
+  bool present = false;
+  ASSERT_TRUE(
+      ReadColumnStats(fs.get(), "/c.col", ReadContext{}, &footer, &present)
+          .ok());
+  ASSERT_TRUE(present);
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const bool use_offsets = seed > 5;
+    SCOPED_TRACE(use_offsets ? "jump" : "walk");
+    if (use_offsets) fs->EnsureBlockCache(16 << 20, nullptr);
+    MetricsRegistry metrics;
     std::unique_ptr<ColumnFileReader> reader;
-    ASSERT_TRUE(
-        ColumnFileReader::Open(fs.get(), "/c.col", ReadContext{}, &reader)
-            .ok());
+    ASSERT_TRUE(ColumnFileReader::Open(
+                    fs.get(), "/c.col",
+                    ReadContext{kAnyNode, nullptr, 0, &metrics, nullptr},
+                    &reader)
+                    .ok());
+    if (use_offsets) reader->UseRowgroupOffsets(footer);
     Random skip_rng(seed);
     uint64_t row = 0;
     while (row < kRows) {
@@ -146,6 +164,10 @@ TEST_P(ColumnLayoutTest, RandomSkipPatternsMatchSequential) {
       EXPECT_EQ(v.Compare(originals[row]), 0) << "row " << row;
       ++row;
     }
+    // Compressed-block columns carry no offsets, so they always walk.
+    const bool has_offsets = layout != ColumnLayout::kCompressedBlocks;
+    EXPECT_EQ(metrics.counter("cif.scan.jumped_bytes")->value() > 0,
+              use_offsets && has_offsets);
   }
 }
 
@@ -179,6 +201,69 @@ TEST(ColumnFileTest, SkipToExactEnd) {
   // Skipping past the end clamps.
   ASSERT_TRUE(reader->SkipRows(10).ok());
   EXPECT_EQ(reader->current_row(), 2500u);
+}
+
+// The v2 footer's rowgroup offsets are the positions a skip-list walk
+// reaches: each group's first skip block (DCSL: its dictionary block), or
+// its first value in a plain column. Null values take no bytes, so a plain
+// null column repeats one offset. Compressed-block columns carry none.
+TEST(ColumnFileTest, FooterOffsetsMatchSkipListWalk) {
+  auto fs = MakeFs();
+  const std::pair<ColumnLayout, Schema::Ptr> shapes[] = {
+      {ColumnLayout::kPlain, Schema::String()},
+      {ColumnLayout::kSkipList, Schema::String()},
+      {ColumnLayout::kDictSkipList, Schema::Map(Schema::String())},
+      {ColumnLayout::kPlain, Schema::Null()},
+      {ColumnLayout::kSkipList, Schema::Null()},
+      {ColumnLayout::kCompressedBlocks, Schema::String()},
+  };
+  Random rng(9);
+  int file = 0;
+  for (const auto& [layout, type] : shapes) {
+    for (const uint64_t rows : {0, 1, 999, 1000, 1001, 2500}) {
+      const std::string path = "/o" + std::to_string(file++) + ".col";
+      SCOPED_TRACE(type->ToString() + " layout " +
+                   std::to_string(static_cast<int>(layout)) + " rows " +
+                   std::to_string(rows));
+      ColumnOptions options;
+      options.layout = layout;
+      std::unique_ptr<ColumnFileWriter> writer;
+      ASSERT_TRUE(
+          ColumnFileWriter::Create(fs.get(), path, type, options, &writer)
+              .ok());
+      for (uint64_t i = 0; i < rows; ++i) {
+        Value value = Value::Null();
+        if (type->kind() == TypeKind::kMap) {
+          value = MapValue(static_cast<int>(i), &rng);
+        } else if (type->kind() == TypeKind::kString) {
+          value = Value::String(rng.NextString(5, 50));
+        }
+        ASSERT_TRUE(writer->Append(value).ok());
+      }
+      ASSERT_TRUE(writer->Close().ok());
+
+      ColumnFileStats stats;
+      bool present = false;
+      ASSERT_TRUE(
+          ReadColumnStats(fs.get(), path, ReadContext{}, &stats, &present)
+              .ok());
+      ASSERT_TRUE(present);
+      if (layout == ColumnLayout::kCompressedBlocks) {
+        EXPECT_TRUE(stats.group_offsets.empty());
+        continue;
+      }
+      ASSERT_EQ(stats.group_offsets.size(), (rows + 999) / 1000);
+      for (uint64_t g = 0; g < stats.group_offsets.size(); ++g) {
+        std::unique_ptr<ColumnFileReader> reader;
+        ASSERT_TRUE(
+            ColumnFileReader::Open(fs.get(), path, ReadContext{}, &reader)
+                .ok());
+        ASSERT_TRUE(reader->SkipRows(g * 1000).ok());
+        EXPECT_EQ(reader->byte_offset(), stats.group_offsets[g])
+            << "group " << g;
+      }
+    }
+  }
 }
 
 TEST(ColumnFileTest, DcslRequiresMapColumn) {

@@ -582,7 +582,7 @@ TEST(EngineObservabilityTest, TracePathWritesLoadableFile) {
 // ---- Figure 10 acceptance: skip counters track selectivity ----
 
 struct SkipCounters {
-  uint64_t rowgroups_skipped = 0;
+  uint64_t skip_blocks = 0;
   uint64_t skipped_bytes = 0;
   uint64_t records = 0;
   uint64_t map_touches = 0;  // rows whose map0 the map function read
@@ -630,7 +630,7 @@ SkipCounters ScanSelective(MiniHdfs* fs, uint64_t batch_rows) {
     EXPECT_TRUE(reader->status().ok());
   }
   MetricsSnapshot snapshot = registry.Snapshot();
-  result.rowgroups_skipped = snapshot.counters["cif.scan.rowgroups_skipped"];
+  result.skip_blocks = snapshot.counters["cif.scan.skip_blocks"];
   result.skipped_bytes = snapshot.counters["cif.scan.skipped_bytes"];
   // str0 is decoded on every row; the rest of values_read is map0.
   result.map_decoded = snapshot.counters["cif.scan.values_read"] - rows;
@@ -655,11 +655,11 @@ TEST(Fig10CountersTest, SkipCountersFallMonotonicallyWithSelectivity) {
           << selectivities[i];
     }
 
-    EXPECT_GT(results[0].rowgroups_skipped, 0u);
+    EXPECT_GT(results[0].skip_blocks, 0u);
     EXPECT_GT(results[0].skipped_bytes, 0u);
-    EXPECT_GE(results[0].rowgroups_skipped, results[1].rowgroups_skipped);
-    EXPECT_GE(results[1].rowgroups_skipped, results[2].rowgroups_skipped);
-    EXPECT_GT(results[0].rowgroups_skipped, results[2].rowgroups_skipped);
+    EXPECT_GE(results[0].skip_blocks, results[1].skip_blocks);
+    EXPECT_GE(results[1].skip_blocks, results[2].skip_blocks);
+    EXPECT_GT(results[0].skip_blocks, results[2].skip_blocks);
     EXPECT_GE(results[0].skipped_bytes, results[1].skipped_bytes);
     EXPECT_GE(results[1].skipped_bytes, results[2].skipped_bytes);
     EXPECT_GT(results[0].skipped_bytes, results[2].skipped_bytes);

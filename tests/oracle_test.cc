@@ -168,6 +168,7 @@ struct Case {
   Job job;
   FaultConfig faults;
   bool corrupt_replica = false;
+  bool cif = false;
   // Filled by Reference().
   std::vector<std::pair<Value, Value>> groups;  // reduced, keys ascending
   uint64_t mapped = 0;
@@ -248,6 +249,7 @@ Case Sample(uint64_t seed, int index) {
     options.codec = rng.OneIn(2) ? CodecType::kLzf : CodecType::kNone;
     WriteRows<RcFileWriter>(fs, c.schema, c.rows, options);
   } else {
+    c.cif = true;
     CofOptions options;
     options.split_target_bytes = Note(
         &c.what, "split_target",
@@ -313,8 +315,6 @@ std::string SampleKnobs(Random& rng, bool lazy, JobConfig* config) {
   config->batch_rows = Note(&knobs, "batch_rows", Pick(rng, batch_rows));
   config->parallelism = Note(&knobs, "parallelism", rng.OneIn(2) ? 1 : 4);
   config->predicate_pushdown = Note(&knobs, "pushdown", !rng.OneIn(6));
-  config->readahead_bytes =
-      Note(&knobs, "readahead", rng.OneIn(2) ? 0 : 16 * 1024);
   config->prefetch_depth =
       Note(&knobs, "prefetch", config->cache_bytes > 0 && rng.OneIn(2) ? 2 : 0);
   config->num_reduce_tasks =
@@ -380,17 +380,18 @@ std::string Line(const Value& key, const Value& value) {
   return key.ToString() + "\t" + value.ToString() + "\n";
 }
 
-/// Runs that sampled each fault kind, and those whose report shows it
-/// fired, over every case this process ran.
-struct FaultTally {
+/// Runs that sampled each fault kind or pushed a predicate into CIF, and
+/// those whose report shows the fault fired or whose columns jumped over
+/// pruned rowgroups, over every case this process ran.
+struct Tally {
   int sampled = 0;
   int fired = 0;
 };
-std::map<std::string, FaultTally> fault_tallies;
+std::map<std::string, Tally> tallies;
 
-void Tally(const char* kind, bool sampled, bool fired) {
+void Count(const char* kind, bool sampled, bool fired) {
   if (!sampled) return;
-  FaultTally& tally = fault_tallies[kind];
+  Tally& tally = tallies[kind];
   tally.sampled += 1;
   tally.fired += fired ? 1 : 0;
 }
@@ -423,6 +424,8 @@ void RunAndCheck(MiniHdfs* fs, MetricsRegistry* metrics, Job job,
            metrics->counter("cif.prune.rows")->value();
   };
   const uint64_t pruned_before = pruned();
+  Counter* jumps = metrics->counter("cif.scan.jumps");
+  const uint64_t jumps_before = jumps->value();
   JobReport report;
   const Status status = JobRunner(fs).Run(job, &report);
   ASSERT_TRUE(status.ok()) << status.ToString();
@@ -469,13 +472,19 @@ void RunAndCheck(MiniHdfs* fs, MetricsRegistry* metrics, Job job,
 
   // A transient read fault fails over or fails the attempt; a checksum
   // failure fails over too, so only the excess is transient.
-  Tally("read", want.faults.read_error_p > 0,
+  Count("read", want.faults.read_error_p > 0,
         report.failover_reads > report.checksum_failures ||
             report.task_retries > 0);
-  Tally("write", want.faults.write_error_p > 0, report.write_faults > 0);
-  Tally("commit",
+  Count("write", want.faults.write_error_p > 0, report.write_faults > 0);
+  Count("commit",
         want.faults.task_commit_error_p > 0 && !job.config.output_path.empty(),
         report.commit_aborts > 0);
+  // A column jumps over pruned rowgroups when its target is inside the
+  // window or in a cached block.
+  Count("jump",
+        want.cif && job.config.predicate != nullptr &&
+            job.config.predicate_pushdown,
+        jumps->value() > jumps_before);
 }
 
 class OracleTest : public ::testing::TestWithParam<int> {
@@ -484,17 +493,23 @@ class OracleTest : public ::testing::TestWithParam<int> {
   /// sampled fault kind fired in a floor share of the runs that sampled
   /// it. Over seeds 1–100, read faults fired in 56–73% of runs per seed,
   /// commit faults in 44–76% and write faults, which bite only runs that
-  /// seal many blocks, in 20–48%. One small run may draw no fault, so a
-  /// replayed case is exempt.
+  /// seal many blocks, in 20–48%. Likewise some pushdown run over CIF
+  /// jumped: 3–16 of 92–141 per seed over seeds 1–40, 101 and 9002. One
+  /// small run may draw no fault or prune nothing, so a replayed case is
+  /// exempt.
   static void TearDownTestSuite() {
     const std::map<std::string, int> floor_divisor = {
         {"read", 2}, {"write", 8}, {"commit", 4}};
-    for (const auto& [kind, tally] : fault_tallies) {
-      std::printf("[ oracle ] %s faults fired in %d of %d runs\n",
-                  kind.c_str(), tally.fired, tally.sampled);
-      if (tally.sampled >= 20) {
-        EXPECT_GE(floor_divisor.at(kind) * tally.fired, tally.sampled)
+    for (const auto& [kind, tally] : tallies) {
+      std::printf("[ oracle ] %s fired in %d of %d runs\n", kind.c_str(),
+                  tally.fired, tally.sampled);
+      if (tally.sampled < 20) continue;
+      const auto divisor = floor_divisor.find(kind);
+      if (divisor != floor_divisor.end()) {
+        EXPECT_GE(divisor->second * tally.fired, tally.sampled)
             << kind << " faults";
+      } else {
+        EXPECT_GT(tally.fired, 0) << kind;
       }
     }
   }

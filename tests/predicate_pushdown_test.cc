@@ -11,7 +11,9 @@
 #include "cif/column_reader.h"
 #include "cif/column_stats.h"
 #include "cif/column_writer.h"
+#include "common/coding.h"
 #include "mapreduce/engine.h"
+#include "mapreduce/map_loop.h"
 #include "obs/metrics.h"
 #include "serde/predicate.h"
 #include "serde/record.h"
@@ -143,6 +145,33 @@ Status WriteInt64Column(MiniHdfs* fs, const std::string& path,
     COLMR_RETURN_IF_ERROR(writer->Append(Value::Int64(v)));
   }
   return writer->Close();
+}
+
+/// Reads a whole file without charging anyone.
+std::string ReadFile(MiniHdfs* fs, const std::string& path) {
+  std::unique_ptr<FileReader> file;
+  EXPECT_TRUE(fs->Open(path, ReadContext{}, &file).ok());
+  std::string bytes;
+  EXPECT_TRUE(file->Read(0, file->size(), &bytes).ok());
+  return bytes;
+}
+
+/// Writes `bytes` as the file at `path`, replacing any file there.
+void WriteFile(MiniHdfs* fs, const std::string& path,
+               const std::string& bytes) {
+  ASSERT_TRUE(fs->DeleteRecursive(path).ok());
+  std::unique_ptr<FileWriter> out;
+  ASSERT_TRUE(fs->Create(path, &out).ok());
+  out->Append(bytes);
+  ASSERT_TRUE(out->Close().ok());
+}
+
+/// Payload length of the stats footer ending a column file's bytes.
+uint32_t FooterPayloadLength(const std::string& file) {
+  Slice trailer(file.data() + file.size() - 8, 4);
+  uint32_t payload_len = 0;
+  EXPECT_TRUE(GetFixed32(&trailer, &payload_len).ok());
+  return payload_len;
 }
 
 TEST(ColumnStatsTest, FooterRoundTripAcrossRowgroups) {
@@ -316,20 +345,9 @@ TEST(ColumnStatsTest, PreStatsFileReadsFineAndReportsNoStats) {
                   .ok());
   // Reconstruct the file as a pre-stats writer would have produced it:
   // identical bytes minus the trailing footer.
-  std::unique_ptr<FileReader> in;
-  ASSERT_TRUE(fs->Open("/new.col", ReadContext{}, &in).ok());
-  std::string trailer;
-  ASSERT_TRUE(in->Read(in->size() - 8, 8, &trailer).ok());
-  Slice len_slice(trailer.data(), 4);
-  uint32_t payload_len = 0;
-  ASSERT_TRUE(GetFixed32(&len_slice, &payload_len).ok());
-  const uint64_t old_size = in->size() - 8 - payload_len;
-  std::string body;
-  ASSERT_TRUE(in->Read(0, old_size, &body).ok());
-  std::unique_ptr<FileWriter> out;
-  ASSERT_TRUE(fs->Create("/old.col", &out).ok());
-  out->Append(body);
-  ASSERT_TRUE(out->Close().ok());
+  const std::string file = ReadFile(fs.get(), "/new.col");
+  WriteFile(fs.get(), "/old.col",
+            file.substr(0, file.size() - 8 - FooterPayloadLength(file)));
 
   ColumnFileStats stats;
   bool present = true;
@@ -548,6 +566,312 @@ TEST_F(PushdownJobTest, MissingPredicateColumnEvaluatesAsNull) {
   JobReport report2;
   ASSERT_TRUE(runner.Run(job, &report2).ok());
   EXPECT_EQ(report2.map_input_records, static_cast<uint64_t>(kRecords));
+}
+
+// ---- Byte contract: pruned rowgroups cost no bytes (DESIGN.md §13) ----
+
+constexpr uint64_t kZonedRows = 20000;
+// Rowgroup 10 of a zoned dataset: a middle window.
+constexpr char kMiddleWindow[] = "seq >= 10050 AND seq < 10150";
+constexpr char kFirstWindow[] = "seq >= 50 AND seq < 150";
+
+/// Writes the first `rows` zoned records (seq = 0, 1, ...) as one
+/// skip-list split-directory.
+void WriteZoned(MiniHdfs* fs, const std::string& path, uint64_t rows) {
+  CofOptions options;
+  options.split_target_bytes = 1ull << 30;
+  options.default_column.layout = ColumnLayout::kSkipList;
+  std::unique_ptr<CofWriter> writer;
+  ASSERT_TRUE(CofWriter::Open(fs, path, ZonedSchema(), options, &writer).ok());
+  ZonedGenerator gen(77);
+  for (uint64_t i = 0; i < rows; ++i) {
+    ASSERT_TRUE(writer->WriteRecord(gen.Next()).ok());
+  }
+  ASSERT_TRUE(writer->Close().ok());
+}
+
+/// Rewrites the column file at `path` with the v1 footer a writer before
+/// rowgroup offsets produced: the v2 payload without its offset table and
+/// CRC, under version 1.
+void DowngradeFooter(MiniHdfs* fs, const std::string& path) {
+  ColumnFileStats stats;
+  bool present = false;
+  ASSERT_TRUE(
+      ReadColumnStats(fs, path, ReadContext{}, &stats, &present).ok());
+  ASSERT_TRUE(present);
+  Buffer table;
+  uint64_t previous = 0;
+  for (uint64_t offset : stats.group_offsets) {
+    PutVarint64(&table, offset - previous);
+    previous = offset;
+  }
+  const std::string file = ReadFile(fs, path);
+  const uint32_t payload_len = FooterPayloadLength(file);
+  const size_t payload_start = file.size() - 8 - payload_len;
+  ASSERT_EQ(file[payload_start], static_cast<char>(kCifStatsV2));
+  Buffer v1;
+  v1.PushBack(static_cast<char>(kCifStatsV1));
+  v1.Append(Slice(file.data() + payload_start + 1,
+                  payload_len - 1 - table.size() - 4));
+  Buffer rewritten;
+  rewritten.Append(Slice(file.data(), payload_start));
+  rewritten.Append(v1.AsSlice());
+  PutFixed32(&rewritten, static_cast<uint32_t>(v1.size()));
+  rewritten.Append(Slice(kCifStatsMagic, 4));
+  WriteFile(fs, path, rewritten.TakeString());
+}
+
+/// What one pushdown scan of seq and int0 requested and produced.
+struct ZonedScan {
+  uint64_t rows = 0;
+  uint64_t int0_sum = 0;
+  IoStats io;
+  /// Bytes the scan requested (hdfs.read.bytes, cache views included)
+  /// minus its schema read and the footers it read: what the column fills
+  /// requested.
+  uint64_t fill_bytes = 0;
+  /// Column footers the reader read: seq's (the predicate column) always,
+  /// int0's only when some pruned run ends before the split does.
+  uint64_t footers = 0;
+  uint64_t skipped_bytes = 0;
+  uint64_t jumps = 0;
+  uint64_t jumped_bytes = 0;
+  uint64_t pruned_rowgroups = 0;
+};
+
+/// Scans seq and int0 of the zoned dataset at `path` under `where`,
+/// pushed down, through the CIF reader alone, so its counters hold only
+/// what the reader requested: the schema, the footers it needed and the
+/// column fills.
+ZonedScan ScanZoned(MiniHdfs* fs, const std::string& path,
+                    const std::string& where, bool lazy = false) {
+  MetricsRegistry metrics;
+  ColumnInputFormat format;
+  JobConfig config;
+  config.input_paths = {path};
+  config.projection = {"seq", "int0"};
+  config.lazy_records = lazy;
+  Predicate predicate;
+  EXPECT_TRUE(ParsePredicate(where, &predicate).ok());
+  config.predicate = std::make_shared<const Predicate>(std::move(predicate));
+  std::vector<InputSplit> splits;
+  EXPECT_TRUE(format.GetSplits(fs, config, &splits).ok());
+  ZonedScan scan;
+  uint64_t metadata_bytes = 0;
+  Counter* opens = metrics.counter("hdfs.open.count");
+  for (const InputSplit& split : splits) {
+    const uint64_t opens_before = opens->value();
+    std::unique_ptr<RecordReader> reader;
+    EXPECT_TRUE(format
+                    .CreateRecordReader(
+                        fs, config, split,
+                        ReadContext{kAnyNode, &scan.io, 0, &metrics, nullptr},
+                        &reader)
+                    .ok());
+    EXPECT_TRUE(ForEachMappedRecord(
+                    reader.get(), config.batch_rows, config.predicate.get(),
+                    [] { return Status::OK(); },
+                    [&](Record& record) {
+                      // A misread column fails the check, not the binary.
+                      const Value* int0 = nullptr;
+                      const Status got = record.Get("int0", &int0);
+                      EXPECT_TRUE(got.ok()) << got.ToString();
+                      if (got.ok()) {
+                        scan.int0_sum +=
+                            static_cast<uint64_t>(int0->int32_value());
+                      }
+                    },
+                    &scan.rows)
+                    .ok());
+    EXPECT_TRUE(reader->status().ok());
+    const std::string& first = split.paths.front();
+    uint64_t schema_bytes = 0;
+    EXPECT_TRUE(fs->GetFileSize(first.substr(0, first.rfind('/')) + "/_schema",
+                                &schema_bytes)
+                    .ok());
+    metadata_bytes += schema_bytes;
+    // Every file the reader opened beyond the schema and the column files
+    // was a footer read, in read-set order: seq's, then int0's.
+    const uint64_t footers =
+        opens->value() - opens_before - 1 - split.paths.size();
+    for (uint64_t c = 0; c < footers && c < split.paths.size(); ++c) {
+      metadata_bytes += 8 + FooterPayloadLength(ReadFile(fs, split.paths[c]));
+    }
+    scan.footers += footers;
+  }
+  MetricsSnapshot snapshot = metrics.Snapshot();
+  scan.fill_bytes = snapshot.histograms["hdfs.read.bytes"].sum -
+                    metadata_bytes;
+  scan.skipped_bytes = snapshot.counters["cif.scan.skipped_bytes"];
+  scan.jumps = snapshot.counters["cif.scan.jumps"];
+  scan.jumped_bytes = snapshot.counters["cif.scan.jumped_bytes"];
+  scan.pruned_rowgroups = snapshot.counters["cif.prune.rowgroups"];
+  return scan;
+}
+
+/// Sum of int0 over the zoned rows whose seq is in [from, to).
+uint64_t ZonedInt0Sum(int64_t from, int64_t to) {
+  ZonedGenerator gen(77);
+  uint64_t sum = 0;
+  for (int64_t seq = 0; seq < to; ++seq) {
+    const Value record = gen.Next();
+    if (seq >= from) {
+      sum += static_cast<uint64_t>(record.elements()[4].int32_value());
+    }
+  }
+  return sum;
+}
+
+/// Writes /v2 and /v1: the same zoned rows, /v1 with the v1 footers a
+/// writer before rowgroup offsets produced.
+void WriteV2AndV1(MiniHdfs* fs) {
+  WriteZoned(fs, "/v2", kZonedRows);
+  WriteZoned(fs, "/v1", kZonedRows);
+  for (const char* column : {"seq", "int0"}) {
+    DowngradeFooter(fs, std::string("/v1/s0/") + column + ".col");
+  }
+}
+
+// A pruned run that reaches the end of the split moves no column: past the
+// last match the scan requests nothing, so 20,000 more trailing rows cost
+// only seq's longer footer. No run ends early, so int0's footer stays
+// unread.
+TEST(PushdownBytesTest, TrailingPrunedRunRequestsNoBytes) {
+  auto fs = MakeFs();
+  WriteZoned(fs.get(), "/short", kZonedRows);
+  WriteZoned(fs.get(), "/long", 2 * kZonedRows);
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    const ZonedScan short_scan =
+        ScanZoned(fs.get(), "/short", "seq < 150", lazy);
+    const ZonedScan long_scan =
+        ScanZoned(fs.get(), "/long", "seq < 150", lazy);
+    EXPECT_EQ(short_scan.rows, 150u);
+    EXPECT_EQ(long_scan.rows, 150u);
+    EXPECT_EQ(long_scan.int0_sum, short_scan.int0_sum);
+    EXPECT_EQ(long_scan.pruned_rowgroups, 2 * kZonedRows / 1000 - 1);
+    EXPECT_EQ(long_scan.fill_bytes, short_scan.fill_bytes);
+    EXPECT_EQ(long_scan.io.seeks, short_scan.io.seeks);
+    EXPECT_EQ(long_scan.footers, 1u);
+    EXPECT_EQ(short_scan.footers, 1u);
+  }
+}
+
+// Uncached, a jump is free only inside the buffered window, so a middle
+// window requests the bytes and seeks of the walk a v1 footer forces. A
+// fill reaching the end of a file also carries its footer, which v2 makes
+// longer by the offsets and CRC. With 4 KB fills the leading run walks.
+// With 64 KB fills it jumps inside the window: the bytes it passes were
+// requested with the window, so they count as skipped, not jumped.
+TEST(PushdownBytesTest, UncachedMiddleWindowRequestsWhatTheWalkDoes) {
+  const uint64_t want = ZonedInt0Sum(10050, 10150);
+  for (const uint64_t fill : {4 * 1024, 64 * 1024}) {
+    ClusterConfig cluster = TestCluster();
+    cluster.io_buffer_size = fill;
+    MiniHdfs fs(cluster, std::make_unique<ColumnPlacementPolicy>(5));
+    WriteV2AndV1(&fs);
+    uint64_t footer_growth = 0;
+    for (const char* column : {"seq", "int0"}) {
+      const std::string name = std::string("/s0/") + column + ".col";
+      footer_growth += FooterPayloadLength(ReadFile(&fs, "/v2" + name)) -
+                       FooterPayloadLength(ReadFile(&fs, "/v1" + name));
+    }
+    for (const bool lazy : {false, true}) {
+      SCOPED_TRACE(std::to_string(fill) + " B fills, " +
+                   (lazy ? "lazy" : "eager"));
+      const ZonedScan v2 = ScanZoned(&fs, "/v2", kMiddleWindow, lazy);
+      const ZonedScan v1 = ScanZoned(&fs, "/v1", kMiddleWindow, lazy);
+      EXPECT_EQ(v2.rows, 100u);
+      EXPECT_EQ(v2.int0_sum, want);
+      EXPECT_EQ(v1.int0_sum, want);
+      EXPECT_EQ(v2.footers, 2u);
+      EXPECT_GE(v2.fill_bytes, v1.fill_bytes);
+      EXPECT_LE(v2.fill_bytes, v1.fill_bytes + footer_growth);
+      EXPECT_EQ(v2.io.seeks, v1.io.seeks);
+      EXPECT_EQ(v2.jumped_bytes, 0u);
+      EXPECT_LE(v2.skipped_bytes, v2.fill_bytes);
+      EXPECT_EQ(v1.jumps, 0u);
+      if (fill == 64 * 1024) {
+        EXPECT_GT(v2.jumps, 0u);
+      }
+    }
+  }
+}
+
+// Warm, every jump lands in a cached block: it fetches nothing and
+// charges no seek, so a middle window seeks no more than one at row 0.
+TEST(PushdownBytesTest, WarmMiddleWindowSeeksNoMoreThanFirstWindow) {
+  auto fs = MakeFs();
+  WriteZoned(fs.get(), "/z", kZonedRows);
+  fs->EnsureBlockCache(64 << 20, nullptr);
+  ScanZoned(fs.get(), "/z", "seq >= 0");  // warms every block
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    const ZonedScan first = ScanZoned(fs.get(), "/z", kFirstWindow, lazy);
+    const ZonedScan middle = ScanZoned(fs.get(), "/z", kMiddleWindow, lazy);
+    EXPECT_EQ(middle.int0_sum, ZonedInt0Sum(10050, 10150));
+    EXPECT_EQ(first.int0_sum, ZonedInt0Sum(50, 150));
+    EXPECT_LE(middle.io.seeks, first.io.seeks);
+    EXPECT_GT(middle.jumped_bytes, 0u);
+    EXPECT_LE(middle.skipped_bytes, middle.fill_bytes);
+  }
+}
+
+// A v1 footer has no offsets: the scan prunes the same rowgroups and
+// returns the same rows, but walks every skip, even where every block is
+// cached and a v2 scan jumps.
+TEST(PushdownBytesTest, V1FooterPrunesAndWalks) {
+  auto fs = MakeFs();
+  WriteV2AndV1(fs.get());
+  fs->EnsureBlockCache(64 << 20, nullptr);
+  ScanZoned(fs.get(), "/v2", "seq >= 0");  // warms every block
+  ScanZoned(fs.get(), "/v1", "seq >= 0");
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    const ZonedScan v2 = ScanZoned(fs.get(), "/v2", kMiddleWindow, lazy);
+    const ZonedScan v1 = ScanZoned(fs.get(), "/v1", kMiddleWindow, lazy);
+    EXPECT_EQ(v1.rows, 100u);
+    EXPECT_EQ(v1.int0_sum, v2.int0_sum);
+    EXPECT_EQ(v1.pruned_rowgroups, v2.pruned_rowgroups);
+    EXPECT_EQ(v1.pruned_rowgroups, kZonedRows / 1000 - 1);
+    EXPECT_EQ(v1.jumps, 0u);
+    EXPECT_GT(v2.jumped_bytes, 0u);
+    EXPECT_LT(v2.fill_bytes, v1.fill_bytes);
+  }
+}
+
+// The v2 footer's CRC covers its bounds and offsets: with any one byte of
+// a column's footer flipped, the footer reads as absent or intact, and
+// the scan returns the reference rows either way. The block cache makes
+// every trusted offset a jump target, in the window or past it.
+TEST(PushdownBytesTest, DamagedFooterByteKeepsReferenceOutput) {
+  auto fs = MakeFs();
+  fs->EnsureBlockCache(64 << 20, nullptr);
+  constexpr uint64_t kRows = 3000;
+  WriteZoned(fs.get(), "/z", kRows);
+  constexpr char kWhere[] = "seq >= 1500 AND seq < 1600";
+  const uint64_t want = ZonedInt0Sum(1500, 1600);
+  for (const char* column : {"seq", "int0"}) {
+    const std::string path = std::string("/z/s0/") + column + ".col";
+    const std::string original = ReadFile(fs.get(), path);
+    const size_t footer = original.size() - 8 - FooterPayloadLength(original);
+    for (size_t i = footer; i < original.size(); ++i) {
+      for (const char mask : {'\x01', '\xFF'}) {
+        SCOPED_TRACE(std::string(column) + " footer byte " +
+                     std::to_string(i - footer) + " mask " +
+                     std::to_string(static_cast<uint8_t>(mask)));
+        std::string damaged = original;
+        damaged[i] = static_cast<char>(damaged[i] ^ mask);
+        WriteFile(fs.get(), path, damaged);
+        for (const bool lazy : {false, true}) {
+          const ZonedScan scan = ScanZoned(fs.get(), "/z", kWhere, lazy);
+          EXPECT_EQ(scan.rows, 100u);
+          EXPECT_EQ(scan.int0_sum, want);
+        }
+      }
+    }
+    WriteFile(fs.get(), path, original);
+  }
 }
 
 }  // namespace

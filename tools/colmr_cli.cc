@@ -43,14 +43,14 @@
 //                                               (DESIGN.md §12); codec C is
 //                                               none | lzf | zlite
 //   colmr stats <image> <dataset> [--json] [--lazy] [--project=c1,c2]
-//               [--cache-mb=N] [--readahead-kb=N] [--prefetch-depth=N]
+//               [--cache-mb=N] [--prefetch-depth=N]
 //               [--batch-rows=N] [--where=EXPR] [--no-pushdown]
 //                                               print the per-column
 //                                               zone-map summary of a CIF
 //                                               dataset, then run a scan
 //                                               job and dump the metrics
 //                                               delta it produced
-//                                               (cache/readahead knobs:
+//                                               (cache/prefetch knobs:
 //                                               DESIGN.md §9; predicate
 //                                               pushdown: DESIGN.md §13.
 //                                               --where filters the scan,
@@ -58,7 +58,7 @@
 //                                               --no-pushdown keeps the
 //                                               filter in the map loop)
 //   colmr trace <image> <dataset> <out.json> [--lazy] [--project=c1,c2]
-//               [--cache-mb=N] [--readahead-kb=N] [--prefetch-depth=N]
+//               [--cache-mb=N] [--prefetch-depth=N]
 //               [--batch-rows=N]
 //                                               run a scan job and write its
 //                                               span timeline as Chrome
@@ -604,9 +604,8 @@ struct ScanJobFlags {
   // Predicate pushdown (DESIGN.md §13).
   std::string where;
   bool pushdown = true;
-  // Block cache / readahead knobs (DESIGN.md §9).
+  // Block cache / prefetch knobs (DESIGN.md §9).
   uint64_t cache_mb = 0;
-  uint64_t readahead_kb = 0;
   int prefetch_depth = 0;
   // Map-loop batch size (DESIGN.md §10); 0 keeps the JobConfig default.
   uint64_t batch_rows = 0;
@@ -626,8 +625,6 @@ ScanJobFlags ParseScanJobFlags(int argc, char** argv) {
       flags.pushdown = false;
     } else if (arg.rfind("--cache-mb=", 0) == 0) {
       flags.cache_mb = std::strtoull(arg.c_str() + 11, nullptr, 10);
-    } else if (arg.rfind("--readahead-kb=", 0) == 0) {
-      flags.readahead_kb = std::strtoull(arg.c_str() + 15, nullptr, 10);
     } else if (arg.rfind("--prefetch-depth=", 0) == 0) {
       flags.prefetch_depth = std::atoi(arg.c_str() + 17);
     } else if (arg.rfind("--batch-rows=", 0) == 0) {
@@ -660,7 +657,6 @@ Status RunScanJob(MiniHdfs* fs, const std::string& path,
   job.config.projection = flags.projection;
   job.config.trace_path = trace_path;
   job.config.cache_bytes = flags.cache_mb << 20;
-  job.config.readahead_bytes = flags.readahead_kb << 10;
   job.config.prefetch_depth = flags.prefetch_depth;
   if (flags.batch_rows > 0) job.config.batch_rows = flags.batch_rows;
   COLMR_RETURN_IF_ERROR(SetWhere(flags.where, flags.pushdown, &job.config));
