@@ -47,18 +47,19 @@ Status ColumnFileReader::Open(MiniHdfs* fs, const std::string& path,
   MetricsRegistry& metrics = context.metrics != nullptr
                                  ? *context.metrics
                                  : MetricsRegistry::Default();
-  result->m_values_read_ = metrics.counter("cif.scan.values_read");
-  result->m_values_skipped_ = metrics.counter("cif.scan.values_skipped");
-  result->m_rows_skipped_ = metrics.counter("cif.scan.rows_skipped");
-  result->m_skip_blocks_ = metrics.counter("cif.scan.skip_blocks");
-  result->m_skipped_bytes_ = metrics.counter("cif.scan.skipped_bytes");
-  result->m_jumps_ = metrics.counter("cif.scan.jumps");
-  result->m_jumped_bytes_ = metrics.counter("cif.scan.jumped_bytes");
-  result->m_blocks_skipped_ = metrics.counter("cif.scan.blocks_skipped");
-  result->m_blocks_decompressed_ =
-      metrics.counter("cif.scan.blocks_decompressed");
-  result->m_decompressed_bytes_ =
-      metrics.counter("cif.scan.decompressed_bytes");
+  const auto tally = [&metrics](const char* name) {
+    return CounterTally(metrics.counter(name));
+  };
+  result->m_values_read_ = tally("cif.scan.values_read");
+  result->m_values_skipped_ = tally("cif.scan.values_skipped");
+  result->m_rows_skipped_ = tally("cif.scan.rows_skipped");
+  result->m_skip_blocks_ = tally("cif.scan.skip_blocks");
+  result->m_skipped_bytes_ = tally("cif.scan.skipped_bytes");
+  result->m_jumps_ = tally("cif.scan.jumps");
+  result->m_jumped_bytes_ = tally("cif.scan.jumped_bytes");
+  result->m_blocks_skipped_ = tally("cif.scan.blocks_skipped");
+  result->m_blocks_decompressed_ = tally("cif.scan.blocks_decompressed");
+  result->m_decompressed_bytes_ = tally("cif.scan.decompressed_bytes");
   result->trace_ = context.trace;
   COLMR_RETURN_IF_ERROR(result->ParseHeader());
   *reader = std::move(result);
@@ -120,9 +121,9 @@ uint64_t ColumnFileReader::JumpToward(uint64_t target) {
   // Bytes before the old window's end were requested with it: they count
   // as skipped, like a walk's. Only the rest were never requested.
   const uint64_t requested_end = std::clamp(window_end, from, to);
-  m_jumps_->Increment();
-  m_skipped_bytes_->Increment(requested_end - from);
-  m_jumped_bytes_->Increment(to - requested_end);
+  m_jumps_.Add();
+  m_skipped_bytes_.Add(requested_end - from);
+  m_jumped_bytes_.Add(to - requested_end);
   const uint64_t passed = group * kCifStatsRowGroup - current_row_;
   current_row_ = group * kCifStatsRowGroup;
   boundary_done_ = false;
@@ -178,8 +179,8 @@ Status ColumnFileReader::LoadBlock() {
   block_cursor_ = block_.AsSlice();
   block_rows_left_ = n_records;
   block_loaded_ = true;
-  m_blocks_decompressed_->Increment();
-  m_decompressed_bytes_->Increment(block_cursor_.size());
+  m_blocks_decompressed_.Add();
+  m_decompressed_bytes_.Add(block_cursor_.size());
   return Status::OK();
 }
 
@@ -192,13 +193,14 @@ Status ColumnFileReader::SkipOneValue() {
         for (uint64_t i = 0; i < count; ++i) {
           uint64_t id;
           COLMR_RETURN_IF_ERROR(GetVarint64(cursor, &id));
-          COLMR_RETURN_IF_ERROR(SkipValue(*type_->element(), cursor));
+          COLMR_RETURN_IF_ERROR(
+              SkipValue(*type_->element(), cursor, &serde_));
         }
         return Status::OK();
       });
     default:
       return DecodeWithRetry(input_.get(), [&](Slice* cursor) {
-        return SkipValue(*type_, cursor);
+        return SkipValue(*type_, cursor, &serde_);
       });
   }
 }
@@ -224,7 +226,7 @@ Status ColumnFileReader::DecodeSegmentBatch(uint64_t count,
     input_->Consume(consumed);
     current_row_ += got;
     left -= got;
-    m_values_read_->Increment(got);
+    m_values_read_.Add(got);
     if (s.ok()) continue;
     // Same truncation-vs-corruption test as DecodeWithRetry: grow the
     // window while the failure could be a value straddling its edge. The
@@ -266,7 +268,7 @@ Status ColumnFileReader::DecodeDcslSegmentBatch(uint64_t count,
           if (!s.ok()) break;
           dcsl_ids_.push_back(id);
           Value v;
-          s = DecodeValue(*type_->element(), &cursor, &v);
+          s = DecodeValue(*type_->element(), &cursor, &v, &serde_);
           if (!s.ok()) break;
           entries.emplace_back(std::string(), std::move(v));
         }
@@ -294,7 +296,7 @@ Status ColumnFileReader::DecodeDcslSegmentBatch(uint64_t count,
     input_->Consume(consumed);
     current_row_ += got;
     left -= got;
-    m_values_read_->Increment(got);
+    m_values_read_.Add(got);
     if (s.ok()) continue;
     if (!s.IsCorruption() || view_left >= input_->Remaining()) {
       return s;
@@ -305,6 +307,32 @@ Status ColumnFileReader::DecodeDcslSegmentBatch(uint64_t count,
 }
 
 Status ColumnFileReader::NextBatch(uint64_t n, ColumnBatch* batch) {
+  Status s = DecodeBatch(n, batch);
+  PublishTallies();
+  return s;
+}
+
+Status ColumnFileReader::SkipRows(uint64_t n) {
+  Status s = Skip(n);
+  PublishTallies();
+  return s;
+}
+
+void ColumnFileReader::PublishTallies() {
+  m_values_read_.Publish();
+  m_values_skipped_.Publish();
+  m_rows_skipped_.Publish();
+  m_skip_blocks_.Publish();
+  m_skipped_bytes_.Publish();
+  m_jumps_.Publish();
+  m_jumped_bytes_.Publish();
+  m_blocks_skipped_.Publish();
+  m_blocks_decompressed_.Publish();
+  m_decompressed_bytes_.Publish();
+  serde_.Publish();
+}
+
+Status ColumnFileReader::DecodeBatch(uint64_t n, ColumnBatch* batch) {
   batch->Reset(type_->kind());
   uint64_t take = std::min(n, row_count_ - current_row_);
   ScopedSpan span(trace_, "cif_next_batch", "cif");
@@ -342,7 +370,7 @@ Status ColumnFileReader::NextBatch(uint64_t n, ColumnBatch* batch) {
         current_row_ += got;
         block_rows_left_ -= got;
         take -= got;
-        m_values_read_->Increment(got);
+        m_values_read_.Add(got);
         if (block_rows_left_ == 0) block_loaded_ = false;
         COLMR_RETURN_IF_ERROR(s);
       }
@@ -352,9 +380,9 @@ Status ColumnFileReader::NextBatch(uint64_t n, ColumnBatch* batch) {
   return Status::Corruption("cif column: unknown layout");
 }
 
-Status ColumnFileReader::SkipRows(uint64_t n) {
+Status ColumnFileReader::Skip(uint64_t n) {
   n = std::min(n, row_count_ - current_row_);
-  m_rows_skipped_->Increment(n);
+  m_rows_skipped_.Add(n);
   n -= JumpToward(current_row_ + n);
   if (layout_ == ColumnLayout::kCompressedBlocks) {
     while (n > 0) {
@@ -362,9 +390,9 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
         // Drain or finish the current (already decompressed) block.
         const uint64_t take = std::min(n, block_rows_left_);
         for (uint64_t i = 0; i < take; ++i) {
-          COLMR_RETURN_IF_ERROR(SkipValue(*type_, &block_cursor_));
+          COLMR_RETURN_IF_ERROR(SkipValue(*type_, &block_cursor_, &serde_));
         }
-        m_values_skipped_->Increment(take);
+        m_values_skipped_.Add(take);
         block_rows_left_ -= take;
         if (block_rows_left_ == 0) block_loaded_ = false;
         current_row_ += take;
@@ -378,8 +406,8 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
       COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&compressed_len));
       if (n >= n_records) {
         COLMR_RETURN_IF_ERROR(input_->Skip(compressed_len));
-        m_blocks_skipped_->Increment();
-        m_skipped_bytes_->Increment(compressed_len);
+        m_blocks_skipped_.Add();
+        m_skipped_bytes_.Add(compressed_len);
         current_row_ += n_records;
         n -= n_records;
       } else {
@@ -397,8 +425,8 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
         block_cursor_ = block_.AsSlice();
         block_rows_left_ = n_records;
         block_loaded_ = true;
-        m_blocks_decompressed_->Increment();
-        m_decompressed_bytes_->Increment(block_cursor_.size());
+        m_blocks_decompressed_.Add();
+        m_decompressed_bytes_.Add(block_cursor_.size());
       }
     }
     return Status::OK();
@@ -413,8 +441,8 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
       if (n >= kCifSkip2 && current_row_ % kCifSkip2 == 0 &&
           current_row_ + kCifSkip2 <= row_count_) {
         COLMR_RETURN_IF_ERROR(input_->Skip(skip1000_));
-        m_skip_blocks_->Increment(kCifSkip2 / kCifSkip0);
-        m_skipped_bytes_->Increment(skip1000_);
+        m_skip_blocks_.Add(kCifSkip2 / kCifSkip0);
+        m_skipped_bytes_.Add(skip1000_);
         current_row_ += kCifSkip2;
         n -= kCifSkip2;
         boundary_done_ = false;
@@ -423,8 +451,8 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
       if (n >= kCifSkip1 && current_row_ % kCifSkip1 == 0 &&
           current_row_ + kCifSkip1 <= row_count_) {
         COLMR_RETURN_IF_ERROR(input_->Skip(skip100_));
-        m_skip_blocks_->Increment(kCifSkip1 / kCifSkip0);
-        m_skipped_bytes_->Increment(skip100_);
+        m_skip_blocks_.Add(kCifSkip1 / kCifSkip0);
+        m_skipped_bytes_.Add(skip100_);
         current_row_ += kCifSkip1;
         n -= kCifSkip1;
         boundary_done_ = false;
@@ -432,8 +460,8 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
       }
       if (n >= kCifSkip0 && current_row_ + kCifSkip0 <= row_count_) {
         COLMR_RETURN_IF_ERROR(input_->Skip(skip10_));
-        m_skip_blocks_->Increment(1);
-        m_skipped_bytes_->Increment(skip10_);
+        m_skip_blocks_.Add(1);
+        m_skipped_bytes_.Add(skip10_);
         current_row_ += kCifSkip0;
         n -= kCifSkip0;
         boundary_done_ = false;
@@ -447,7 +475,7 @@ Status ColumnFileReader::SkipRows(uint64_t n) {
       COLMR_RETURN_IF_ERROR(ConsumeBoundary());
     }
     COLMR_RETURN_IF_ERROR(SkipOneValue());
-    m_values_skipped_->Increment();
+    m_values_skipped_.Add();
     ++current_row_;
     if (current_row_ % kCifSkip0 == 0) boundary_done_ = false;
     --n;

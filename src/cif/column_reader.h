@@ -9,7 +9,9 @@
 #include "common/buffer.h"
 #include "compress/dictionary.h"
 #include "hdfs/reader.h"
+#include "obs/metrics.h"
 #include "serde/batch.h"
+#include "serde/encoding.h"
 #include "serde/schema.h"
 #include "serde/value.h"
 
@@ -63,6 +65,11 @@ class ColumnFileReader {
   ColumnFileReader() = default;
 
   Status ParseHeader();
+  /// NextBatch and SkipRows up to the publish: both count into the
+  /// tallies below, which the public calls publish as they return.
+  Status DecodeBatch(uint64_t n, ColumnBatch* batch);
+  Status Skip(uint64_t n);
+  void PublishTallies();
   /// The jump half of SkipRows: moves to the last rowgroup start at or
   /// before `target` row when the offsets and TryJump allow, and returns
   /// the rows it passed (0 when it stayed).
@@ -110,19 +117,23 @@ class ColumnFileReader {
   // Span sink for NextBatch (nullptr = tracing off).
   TraceCollector* trace_ = nullptr;
 
-  // Metric handles resolved once at Open from the ReadContext registry
-  // (cif.scan.* — the Figure 10 "skip blocks skipped / bytes not read"
-  // counters live here).
-  Counter* m_values_read_ = nullptr;
-  Counter* m_values_skipped_ = nullptr;
-  Counter* m_rows_skipped_ = nullptr;
-  Counter* m_skip_blocks_ = nullptr;
-  Counter* m_skipped_bytes_ = nullptr;
-  Counter* m_jumps_ = nullptr;
-  Counter* m_jumped_bytes_ = nullptr;
-  Counter* m_blocks_skipped_ = nullptr;
-  Counter* m_blocks_decompressed_ = nullptr;
-  Counter* m_decompressed_bytes_ = nullptr;
+  // Tallies of the cif.scan.* counters, resolved once at Open from the
+  // ReadContext registry (the Figure 10 "skip blocks skipped / bytes not
+  // read" counters live here), and of the serde.* values this reader
+  // decodes and skips. Every map thread shares those counters, so the
+  // per-value paths count here and each SkipRows / NextBatch call
+  // publishes once (DESIGN.md §8).
+  CounterTally m_values_read_;
+  CounterTally m_values_skipped_;
+  CounterTally m_rows_skipped_;
+  CounterTally m_skip_blocks_;
+  CounterTally m_skipped_bytes_;
+  CounterTally m_jumps_;
+  CounterTally m_jumped_bytes_;
+  CounterTally m_blocks_skipped_;
+  CounterTally m_blocks_decompressed_;
+  CounterTally m_decompressed_bytes_;
+  SerdeTally serde_;
 };
 
 }  // namespace colmr

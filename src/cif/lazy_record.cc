@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace colmr {
 
 LazyRecord::LazyRecord(Schema::Ptr schema,
@@ -35,7 +33,7 @@ Status LazyRecord::Get(std::string_view name, const Value** value) {
       return s;
     }
     column.cached_row = cur_pos_;
-    if (field_reads_ != nullptr) field_reads_->Increment();
+    field_reads_.Add();
   }
   *value = column.cached_ptr;
   return Status::OK();

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cif/column_reader.h"
+#include "obs/metrics.h"
 #include "serde/record.h"
 
 namespace colmr {
@@ -27,11 +28,13 @@ class LazyRecord final : public Record {
  public:
   /// Column readers are owned by the caller (the CIF RecordReader) and
   /// must outlive the LazyRecord; index i corresponds to schema field i,
-  /// nullptr for fields outside the projection. field_reads, when given,
-  /// counts Get() calls that materialize a column value
-  /// (cif.lazy.field_reads).
+  /// nullptr for fields outside the projection. field_reads counts Get()
+  /// calls that materialize a column value (cif.lazy.field_reads): each
+  /// Get() adds to a plain tally, published once per batch window and on
+  /// destruction, so the counter must outlive the LazyRecord.
   LazyRecord(Schema::Ptr schema, std::vector<ColumnFileReader*> columns,
-             Counter* field_reads = nullptr);
+             Counter* field_reads);
+  ~LazyRecord() override { field_reads_.Publish(); }
 
   const Schema& schema() const override { return *schema_; }
   Status Get(std::string_view name, const Value** value) override;
@@ -53,6 +56,7 @@ class LazyRecord final : public Record {
   /// only the rows touched, and each column decodes at most
   /// 2 × touched + 1 values.
   void SetBatchWindow(uint64_t start, uint64_t rows) {
+    field_reads_.Publish();
     win_start_ = start;
     win_rows_ = rows;
   }
@@ -88,7 +92,7 @@ class LazyRecord final : public Record {
   uint64_t cur_pos_ = 0;
   uint64_t win_start_ = 0;
   uint64_t win_rows_ = 0;
-  Counter* field_reads_ = nullptr;
+  CounterTally field_reads_;
   Status status_;
 };
 

@@ -9,6 +9,9 @@
 //    metric once (registry lookup under a mutex) and cache the pointer;
 //    metric objects are heap-allocated and never move or die for the
 //    registry's lifetime, so cached pointers stay valid.
+//  * Code that counts once per value or per row counts into a plain
+//    CounterTally and publishes it once per call: an atomic every map
+//    thread bumps per value costs more than the work it counts.
 //  * Snapshot() is wait-free with respect to writers: it reads the
 //    atomics with relaxed loads, so a snapshot taken mid-job is a
 //    consistent-enough view for reporting, not a linearizable cut.
@@ -42,6 +45,29 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
+};
+
+// A single-threaded tally in front of a shared Counter, for paths that
+// count once per value: Add() is a plain add, and Publish() moves the
+// tally into the counter with one relaxed atomic and zeroes it.  The
+// owner publishes when each counting call returns, so totals are
+// complete once the call is.
+class CounterTally {
+ public:
+  CounterTally() = default;
+  explicit CounterTally(Counter* counter) : counter_(counter) {}
+
+  void Add(uint64_t n = 1) { pending_ += n; }
+  void Publish() {
+    if (pending_ != 0) {
+      counter_->Increment(pending_);
+      pending_ = 0;
+    }
+  }
+
+ private:
+  Counter* counter_ = nullptr;
+  uint64_t pending_ = 0;
 };
 
 // Instantaneous level (e.g. occupied map slots).  Tracks the maximum

@@ -14,10 +14,20 @@ namespace {
 // serde.* counters are process-global: encode/decode run inside format
 // readers and the shuffle, far from any per-job context.  The public
 // entry points count one event per top-level value and delegate to the
-// *Rec workers below, so container recursion costs no extra atomics and
-// the hot path stays one relaxed add per value.
+// *Rec workers below, so container recursion costs no extra atomics.
+// Scan paths that run once per value count into a SerdeTally instead.
 Counter* SerdeCounter(const char* name) {
   return MetricsRegistry::Default().counter(name);
+}
+
+Counter* DecodedValues() {
+  static Counter* values = SerdeCounter("serde.decode.values");
+  return values;
+}
+
+Counter* SkippedValues() {
+  static Counter* values = SerdeCounter("serde.skip.values");
+  return values;
 }
 
 Status EncodeValueRec(const Schema& schema, const Value& value, Buffer* dst);
@@ -350,14 +360,21 @@ Status EncodeValue(const Schema& schema, const Value& value, Buffer* dst) {
 }
 
 Status DecodeValue(const Schema& schema, Slice* input, Value* out) {
-  static Counter* values = SerdeCounter("serde.decode.values");
-  values->Increment();
+  DecodedValues()->Increment();
   return DecodeValueRec(schema, input, out);
 }
 
-Status SkipValue(const Schema& schema, Slice* input) {
-  static Counter* values = SerdeCounter("serde.skip.values");
-  values->Increment();
+SerdeTally::SerdeTally()
+    : decoded(DecodedValues()), skipped(SkippedValues()) {}
+
+Status DecodeValue(const Schema& schema, Slice* input, Value* out,
+                   SerdeTally* tally) {
+  tally->decoded.Add();
+  return DecodeValueRec(schema, input, out);
+}
+
+Status SkipValue(const Schema& schema, Slice* input, SerdeTally* tally) {
+  tally->skipped.Add();
   return SkipValueRec(schema, input);
 }
 
@@ -455,18 +472,22 @@ Status DecodeColumnBatch(const Schema& schema, Slice* input, size_t n,
     case TypeKind::kArray:
     case TypeKind::kMap:
     case TypeKind::kRecord: {
+      SerdeTally tally;
+      Status st;
       while (*decoded < n) {
         const Slice save = *input;
         Value v;
-        Status st = DecodeValue(schema, input, &v);
+        st = DecodeValue(schema, input, &v, &tally);
         if (!st.ok()) {
           *input = save;
-          return st;
+          break;
         }
         out->AppendBoxed(std::move(v));
-        fallback->Increment();
         ++*decoded;
       }
+      tally.Publish();
+      fallback->Increment(*decoded);
+      if (!st.ok()) return st;
       break;
     }
   }

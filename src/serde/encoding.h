@@ -4,6 +4,7 @@
 #include "common/buffer.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "serde/batch.h"
 #include "serde/schema.h"
 #include "serde/value.h"
@@ -29,11 +30,30 @@ Status EncodeValue(const Schema& schema, const Value& value, Buffer* dst);
 /// Decodes one value, consuming its bytes from *input.
 Status DecodeValue(const Schema& schema, Slice* input, Value* out);
 
-/// Advances *input past one encoded value without materializing it.
-/// This is what skipping a record costs when a column file has no skip
-/// list (paper Section 5.2): cheaper than DecodeValue (no allocation),
-/// but still O(encoded size).
-Status SkipValue(const Schema& schema, Slice* input);
+/// Plain tallies of the process-wide serde.decode.values and
+/// serde.skip.values counters, for scan paths that decode or skip once
+/// per value: they count here instead of in a counter every map thread
+/// shares, and the owner publishes once per call (DESIGN.md §8).
+struct SerdeTally {
+  SerdeTally();
+  void Publish() {
+    decoded.Publish();
+    skipped.Publish();
+  }
+
+  CounterTally decoded;
+  CounterTally skipped;
+};
+
+/// DecodeValue, counted in *tally.
+Status DecodeValue(const Schema& schema, Slice* input, Value* out,
+                   SerdeTally* tally);
+
+/// Advances *input past one encoded value without materializing it,
+/// counted in *tally. This is what skipping a record costs when a column
+/// file has no skip list (paper Section 5.2): cheaper than DecodeValue
+/// (no allocation), but still O(encoded size).
+Status SkipValue(const Schema& schema, Slice* input, SerdeTally* tally);
 
 /// Number of bytes the encoding of value occupies.
 size_t EncodedSize(const Schema& schema, const Value& value);
@@ -42,10 +62,10 @@ size_t EncodedSize(const Schema& schema, const Value& value);
 /// *out (which the caller has Reset to the matching kind), consuming their
 /// bytes from *input. Primitive kinds go to the typed lanes via the bulk
 /// kernels in common/coding.h; array/map/record values fall back to
-/// DecodeValue into the boxed lane. Strings are stored as slices into
-/// *input when copy_strings is false (the caller then guarantees the
-/// backing bytes outlive the batch) and copied into the batch arena when
-/// true.
+/// DecodeValue into the boxed lane, counted once per call. Strings are
+/// stored as slices into *input when copy_strings is false (the caller
+/// then guarantees the backing bytes outlive the batch) and copied into
+/// the batch arena when true.
 ///
 /// On success *decoded == n. On failure the cursor is restored to the
 /// first byte of the failing value, *decoded holds the values appended

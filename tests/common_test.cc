@@ -300,6 +300,73 @@ TEST(Crc32Test, DetectsBitFlip) {
   EXPECT_NE(before, Crc32(Slice(data)));
 }
 
+// One bit at a time, straight from the reflected polynomial: the
+// reference both CRC kernels must match.
+uint32_t BitwiseCrc32Extend(uint32_t crc, const std::string& data,
+                            size_t offset, size_t len) {
+  crc = ~crc;
+  for (size_t i = offset; i < offset + len; ++i) {
+    crc ^= static_cast<uint8_t>(data[i]);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1)));
+    }
+  }
+  return ~crc;
+}
+
+std::string RandomBytes(Random* rng, size_t n) {
+  std::string data(n, '\0');
+  for (char& c : data) c = static_cast<char>(rng->Next());
+  return data;
+}
+
+TEST(Crc32Test, MatchesBitwiseAtEveryLengthAndAlignment) {
+  // Lengths 0..1024 cover the folding kernel's 64-byte entry, its 16-byte
+  // steps and every slice-by-8 tail; offsets 0..15 every misalignment.
+  Random rng(2011);
+  const std::string data = RandomBytes(&rng, 1024 + 16);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const uint32_t seed = offset == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    uint32_t expected = seed;  // extended one byte per length
+    for (size_t len = 0; len <= 1024; ++len) {
+      if (len > 0) {
+        expected = BitwiseCrc32Extend(expected, data, offset + len - 1, 1);
+      }
+      const Slice slice(data.data() + offset, len);
+      ASSERT_EQ(Crc32Extend(seed, slice), expected)
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(internal::Crc32ExtendPortable(seed, slice), expected)
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseOnLargeRandomBuffers) {
+  Random rng(77);
+  for (size_t n : {size_t{64} << 10, (size_t{1} << 20) + 13,
+                   size_t{4} << 20}) {
+    const std::string data = RandomBytes(&rng, n);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const uint32_t expected = BitwiseCrc32Extend(seed, data, 0, n);
+    EXPECT_EQ(Crc32Extend(seed, Slice(data)), expected) << n;
+    EXPECT_EQ(internal::Crc32ExtendPortable(seed, Slice(data)), expected)
+        << n;
+  }
+}
+
+TEST(Crc32Test, ChainsAcrossEveryCutPoint) {
+  Random rng(5);
+  const std::string data = RandomBytes(&rng, 512);
+  const uint32_t whole = Crc32(Slice(data));
+  for (size_t cut = 0; cut <= 256; ++cut) {
+    const Slice head(data.data(), cut);
+    const Slice middle(data.data() + cut, 128);
+    const Slice tail(data.data() + cut + 128, data.size() - cut - 128);
+    EXPECT_EQ(Crc32Extend(Crc32Extend(Crc32(head), middle), tail), whole)
+        << cut;
+  }
+}
+
 TEST(RandomTest, Deterministic) {
   Random a(42), b(42), c(43);
   for (int i = 0; i < 100; ++i) {

@@ -1,7 +1,8 @@
 // Observability layer (DESIGN.md §8): metrics registry semantics and
 // thread-safety, JSON emission/validation, trace span collection, the
-// engine's span tree, reduce-side JobReport counters, and the Figure 10
-// acceptance check that CIF-SL skip counters track predicate selectivity.
+// engine's span tree, reduce-side JobReport counters, the Figure 10
+// acceptance check that CIF-SL skip counters track predicate selectivity,
+// and exact scan counts from readers that tally locally.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "cif/cif.h"
+#include "cif/column_format.h"
 #include "cif/cof.h"
+#include "common/hash.h"
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/job.h"
@@ -663,6 +666,200 @@ TEST(Fig10CountersTest, SkipCountersFallMonotonicallyWithSelectivity) {
     EXPECT_GE(results[0].skipped_bytes, results[1].skipped_bytes);
     EXPECT_GE(results[1].skipped_bytes, results[2].skipped_bytes);
     EXPECT_GT(results[0].skipped_bytes, results[2].skipped_bytes);
+  }
+}
+
+// ---- Scan counters stay exact when readers tally locally ----
+
+// The tally dataset: `id` is the row number and the map function reads it
+// on every row; it touches `tag` (skip-list strings) and `attrs` (a DCSL
+// map of 0-4 entries) sparsely and never on two adjacent rows, so each
+// touch decodes exactly one value.
+constexpr uint64_t kTallyRows = 6000;
+
+bool TouchesTag(uint64_t id) {
+  return id % 2 == 0 && SplitMix64(id) % 100 < 20;
+}
+bool TouchesAttrs(uint64_t id) {
+  return id % 2 == 1 && SplitMix64(id ^ 0x5eed) % 100 < 4;
+}
+uint64_t AttrEntries(uint64_t id) { return id % 5; }
+
+std::unique_ptr<MiniHdfs> WriteTallyDataset() {
+  auto fs = MakeFs();
+  CofOptions options;
+  options.split_target_bytes = 48 * 1024;
+  options.default_column.layout = ColumnLayout::kSkipList;
+  options.column_overrides["id"] = ColumnOptions{};
+  options.column_overrides["attrs"] = {ColumnLayout::kDictSkipList,
+                                       CodecType::kNone, 0};
+  Schema::Ptr schema = Schema::Record(
+      "Tally", {{"id", Schema::Int64()},
+                {"tag", Schema::String()},
+                {"attrs", Schema::Map(Schema::String())}});
+  std::unique_ptr<CofWriter> writer;
+  EXPECT_TRUE(CofWriter::Open(fs.get(), "/tally", schema, options, &writer)
+                  .ok());
+  for (uint64_t id = 0; id < kTallyRows; ++id) {
+    Value::MapEntries entries;
+    for (uint64_t e = 0; e < AttrEntries(id); ++e) {
+      entries.emplace_back("key" + std::to_string(e),
+                           Value::String("value-" + std::to_string(id)));
+    }
+    EXPECT_TRUE(writer
+                    ->WriteRecord(Value::Record(
+                        {Value::Int64(static_cast<int64_t>(id)),
+                         Value::String("tag-" + std::to_string(id * 7)),
+                         Value::Map(std::move(entries))}))
+                    .ok());
+  }
+  EXPECT_TRUE(writer->Close().ok());
+  return fs;
+}
+
+// The ids of each split, in row order, from an eager scan of `id`.
+std::vector<std::vector<uint64_t>> SplitIds(MiniHdfs* fs) {
+  MetricsRegistry registry;
+  ColumnInputFormat format;
+  JobConfig config;
+  config.input_paths = {"/tally"};
+  config.projection = {"id"};
+  std::vector<InputSplit> splits;
+  EXPECT_TRUE(format.GetSplits(fs, config, &splits).ok());
+  std::vector<std::vector<uint64_t>> ids(splits.size());
+  IoStats io;
+  for (size_t i = 0; i < splits.size(); ++i) {
+    std::unique_ptr<RecordReader> reader;
+    EXPECT_TRUE(format
+                    .CreateRecordReader(fs, config, splits[i],
+                                        ReadContext{kAnyNode, &io, 0,
+                                                    &registry, nullptr},
+                                        &reader)
+                    .ok());
+    uint64_t rows = 0;
+    EXPECT_TRUE(ForEachMappedRecord(
+                    reader.get(), 1024, nullptr, [] { return Status::OK(); },
+                    [&](Record& record) {
+                      ids[i].push_back(static_cast<uint64_t>(
+                          record.GetOrDie("id").int64_value()));
+                    },
+                    &rows)
+                    .ok());
+  }
+  return ids;
+}
+
+struct TallyCounts {
+  uint64_t values_skipped = 0;
+  uint64_t values_read = 0;
+  uint64_t field_reads = 0;
+  uint64_t serde_skipped = 0;
+  uint64_t serde_decoded = 0;
+};
+
+// What the lazy scan must count, from the data and the touches alone.
+// Between two touches of a column, SkipRows crosses the untouched rows
+// with 1000-, 100- and 10-row skip blocks where a block starts at a
+// multiple of its size and ends inside the file, and walks the others
+// one value at a time: a walked `tag` value is one serde skip, a walked
+// `attrs` value one per map entry. A touch decodes one value, and an
+// `attrs` touch decodes each of its entries.
+TallyCounts ExpectedTallies(const std::vector<std::vector<uint64_t>>& ids) {
+  TallyCounts expected;
+  for (const std::vector<uint64_t>& split : ids) {
+    const uint64_t rows = split.size();
+    expected.values_read += rows;  // id, on every row
+    expected.field_reads += rows;
+    for (const bool attrs : {false, true}) {
+      uint64_t row = 0;
+      for (uint64_t touch = 0; touch < rows; ++touch) {
+        const uint64_t id = split[touch];
+        if (!(attrs ? TouchesAttrs(id) : TouchesTag(id))) continue;
+        while (row < touch) {
+          uint64_t block = 1;
+          for (uint64_t size : {kCifSkip2, kCifSkip1, kCifSkip0}) {
+            if (touch - row >= size && row % size == 0 && row + size <= rows) {
+              block = size;
+              break;
+            }
+          }
+          if (block == 1) {
+            ++expected.values_skipped;
+            expected.serde_skipped += attrs ? AttrEntries(split[row]) : 1;
+          }
+          row += block;
+        }
+        ++expected.values_read;
+        ++expected.field_reads;
+        if (attrs) expected.serde_decoded += AttrEntries(id);
+        row = touch + 1;
+      }
+    }
+  }
+  return expected;
+}
+
+TEST(ScanTallyTest, CountersAreExactAtEveryParallelism) {
+  // Per-value scan counts go to plain per-reader tallies that are
+  // published per SkipRows / NextBatch call, per batch window and when
+  // the lazy record is destroyed: once Run returns, every count must be
+  // there, whatever the parallelism or window size.
+  auto fs = WriteTallyDataset();
+  const std::vector<std::vector<uint64_t>> ids = SplitIds(fs.get());
+  ASSERT_GT(ids.size(), 2u);
+  const TallyCounts expected = ExpectedTallies(ids);
+  ASSERT_GT(expected.values_skipped, 0u);
+  ASSERT_GT(expected.serde_decoded, 0u);
+
+  for (int parallelism : {1, 4}) {
+    for (uint64_t batch_rows : {uint64_t{7}, uint64_t{1024}}) {
+      SCOPED_TRACE("parallelism=" + std::to_string(parallelism) +
+                   " batch_rows=" + std::to_string(batch_rows));
+      MetricsRegistry registry;
+      Job job;
+      job.config.input_paths = {"/tally"};
+      job.config.projection = {"id", "tag", "attrs"};
+      job.config.lazy_records = true;
+      job.config.parallelism = parallelism;
+      job.config.batch_rows = batch_rows;
+      job.config.metrics = &registry;
+      job.input_format = std::make_shared<ColumnInputFormat>();
+      job.mapper = [](Record& record, Emitter* out) {
+        const uint64_t id =
+            static_cast<uint64_t>(record.GetOrDie("id").int64_value());
+        if (TouchesTag(id)) record.GetOrDie("tag");
+        if (TouchesAttrs(id)) {
+          const int64_t entries = static_cast<int64_t>(
+              record.GetOrDie("attrs").map_entries().size());
+          out->Emit(Value::Int32(0), Value::Int64(entries));
+        }
+      };
+      job.reducer = [](const Value& key, const std::vector<Value>& values,
+                       Emitter* out) {
+        int64_t sum = 0;
+        for (const Value& v : values) sum += v.int64_value();
+        out->Emit(key, Value::Int64(sum));
+      };
+      const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+      JobRunner runner(fs.get());
+      JobReport report;
+      ASSERT_TRUE(runner.Run(job, &report).ok());
+      MetricsSnapshot serde =
+          MetricsRegistry::Default().Snapshot().Diff(before);
+      MetricsSnapshot scan = registry.Snapshot();
+
+      EXPECT_EQ(report.map_input_records, kTallyRows);
+      ASSERT_EQ(report.output.size(), 1u);
+      EXPECT_EQ(static_cast<uint64_t>(report.output[0].second.int64_value()),
+                expected.serde_decoded);
+      EXPECT_EQ(scan.counters["cif.scan.values_skipped"],
+                expected.values_skipped);
+      EXPECT_EQ(scan.counters["cif.scan.values_read"], expected.values_read);
+      EXPECT_EQ(scan.counters["cif.lazy.field_reads"], expected.field_reads);
+      EXPECT_EQ(serde.counters["serde.skip.values"], expected.serde_skipped);
+      EXPECT_EQ(serde.counters["serde.decode.values"],
+                expected.serde_decoded);
+    }
   }
 }
 

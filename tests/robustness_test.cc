@@ -61,7 +61,8 @@ TEST_P(DecoderFuzzTest, RandomBytesNeverCrash) {
     Value value;
     (void)DecodeValue(*schema, &cursor, &value);  // Status either way
     Slice skip_cursor(bytes);
-    (void)SkipValue(*schema, &skip_cursor);
+    SerdeTally tally;
+    (void)SkipValue(*schema, &skip_cursor, &tally);
     Slice tagged_cursor(bytes);
     Value tagged;
     (void)DecodeTaggedValue(&tagged_cursor, &tagged);

@@ -189,7 +189,8 @@ TEST_P(EncodingRoundTripTest, ComplexValuesRoundTrip) {
 
     // SkipValue must consume exactly the same bytes as DecodeValue.
     Slice skip_cursor = encoded.AsSlice();
-    ASSERT_TRUE(SkipValue(*schema, &skip_cursor).ok());
+    SerdeTally tally;
+    ASSERT_TRUE(SkipValue(*schema, &skip_cursor, &tally).ok());
     EXPECT_TRUE(skip_cursor.empty());
   }
 }
