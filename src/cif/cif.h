@@ -20,9 +20,11 @@ struct JobConfig;
 ///
 /// Configure the projection with JobConfig::projection (the paper's
 /// ColumnInputFormat.setColumns) and the record construction strategy with
-/// JobConfig::lazy_records: eager records decode every projected column a
-/// batch at a time, lazy ones (LazyRecord) only the values the map
-/// function reads. Either way a one-row batch is the smallest unit.
+/// JobConfig::lazy_records. Both strategies serve the same LazyRecord and
+/// differ only in its window columns, which decode each batch window
+/// whole: eager, every projected column; lazy, only the predicate's
+/// columns under pushdown, every other column decoding just the values the
+/// map function reads. Either way a one-row batch is the smallest unit.
 class ColumnInputFormat final : public InputFormat {
  public:
   std::string name() const override { return "cif"; }

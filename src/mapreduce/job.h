@@ -30,9 +30,11 @@ struct JobConfig {
   /// is precisely the asymmetry the experiments measure.
   std::vector<std::string> projection;
 
-  /// CIF record construction strategy (paper Section 5.1): false = eager
-  /// (every projected column decoded a batch at a time), true =
-  /// LazyRecord (only the values the map function reads are decoded).
+  /// CIF record construction strategy (paper Section 5.1). One record
+  /// serves both: false = eager (every projected column decoded a batch
+  /// at a time), true = lazy (only the predicate's columns, under
+  /// pushdown, decode a batch at a time; every other column decodes just
+  /// the values the map function reads).
   bool lazy_records = false;
 
   // ---- Predicate pushdown (DESIGN.md §13) ----

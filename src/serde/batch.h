@@ -163,13 +163,6 @@ class ColumnBatch {
   std::vector<std::shared_ptr<const std::string>> keepalive_;
 };
 
-/// A batch of rows across the projected columns of one reader — what the
-/// record reader exposes to the map loop.
-struct RowBatch {
-  uint64_t rows = 0;
-  std::vector<ColumnBatch> columns;
-};
-
 }  // namespace colmr
 
 #endif  // COLMR_SERDE_BATCH_H_

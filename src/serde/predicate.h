@@ -22,10 +22,10 @@ namespace colmr {
 //
 //   1. against per-rowgroup / per-file column statistics (zone maps), to
 //      refute whole splits and rowgroups without touching their bytes;
-//   2. row-at-a-time through Record::Get, for row formats, lazy records
-//      and jobs without pushdown;
+//   2. row-at-a-time through Record::Get, for row formats and jobs
+//      without pushdown;
 //   3. column-at-a-time over ColumnBatch lanes into a selection vector,
-//      for the vectorized map loop.
+//      for CIF under pushdown, eager or lazy records alike.
 //
 // NULL follows Kleene logic: a comparison with a null operand is NULL,
 // AND/OR propagate NULL, and a row passes the filter only when the tree
@@ -90,10 +90,11 @@ Status ValidatePredicate(const Predicate& predicate, const Schema& schema,
 std::vector<std::string> PredicateColumns(const Predicate& predicate);
 
 /// Widens a reader's read set — `indices`, field indices of `schema` — to
-/// every column `predicate` references: the engine evaluates the filter on
-/// each record, so the reader must serve those columns whatever the
-/// projection. *indices ends sorted and distinct. Referenced columns
-/// `schema` lacks, which evaluate as NULL, join *missing (if given) once.
+/// every column `predicate` references: the filter reads them on every
+/// row, in the reader's selection vector or the engine's row-wise check,
+/// so the reader must serve those columns whatever the projection.
+/// *indices ends sorted and distinct. Referenced columns `schema` lacks,
+/// which evaluate as NULL, join *missing (if given) once.
 void AddPredicateColumns(const Predicate& predicate, const Schema& schema,
                          std::vector<int>* indices,
                          std::vector<std::string>* missing);

@@ -25,8 +25,8 @@ class Record {
 
   /// Fetches the value of the named top-level field. The returned pointer
   /// is valid until the next call to Get or until the reader advances to
-  /// the next record. Returns NotFound for unknown fields and NotFound for
-  /// fields outside the configured projection.
+  /// the next record. Returns NotFound for unknown fields; a field outside
+  /// the configured projection reads as Null.
   virtual Status Get(std::string_view name, const Value** value) = 0;
 
   /// Convenience wrapper for code (tests, examples) that knows the field

@@ -802,8 +802,10 @@ TallyCounts ExpectedTallies(const std::vector<std::vector<uint64_t>>& ids) {
 TEST(ScanTallyTest, CountersAreExactAtEveryParallelism) {
   // Per-value scan counts go to plain per-reader tallies that are
   // published per SkipRows / NextBatch call, per batch window and when
-  // the lazy record is destroyed: once Run returns, every count must be
-  // there, whatever the parallelism or window size.
+  // the record is destroyed: once Run returns, every count must be there,
+  // whatever the parallelism or window size. An eager scan decodes every
+  // projected value exactly once and skips none, so Table 1's and
+  // Fig. 10's "CIF" arm stays eager.
   auto fs = WriteTallyDataset();
   const std::vector<std::vector<uint64_t>> ids = SplitIds(fs.get());
   ASSERT_GT(ids.size(), 2u);
@@ -811,54 +813,68 @@ TEST(ScanTallyTest, CountersAreExactAtEveryParallelism) {
   ASSERT_GT(expected.values_skipped, 0u);
   ASSERT_GT(expected.serde_decoded, 0u);
 
-  for (int parallelism : {1, 4}) {
-    for (uint64_t batch_rows : {uint64_t{7}, uint64_t{1024}}) {
-      SCOPED_TRACE("parallelism=" + std::to_string(parallelism) +
-                   " batch_rows=" + std::to_string(batch_rows));
-      MetricsRegistry registry;
-      Job job;
-      job.config.input_paths = {"/tally"};
-      job.config.projection = {"id", "tag", "attrs"};
-      job.config.lazy_records = true;
-      job.config.parallelism = parallelism;
-      job.config.batch_rows = batch_rows;
-      job.config.metrics = &registry;
-      job.input_format = std::make_shared<ColumnInputFormat>();
-      job.mapper = [](Record& record, Emitter* out) {
-        const uint64_t id =
-            static_cast<uint64_t>(record.GetOrDie("id").int64_value());
-        if (TouchesTag(id)) record.GetOrDie("tag");
-        if (TouchesAttrs(id)) {
-          const int64_t entries = static_cast<int64_t>(
-              record.GetOrDie("attrs").map_entries().size());
-          out->Emit(Value::Int32(0), Value::Int64(entries));
-        }
-      };
-      job.reducer = [](const Value& key, const std::vector<Value>& values,
-                       Emitter* out) {
-        int64_t sum = 0;
-        for (const Value& v : values) sum += v.int64_value();
-        out->Emit(key, Value::Int64(sum));
-      };
-      const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
-      JobRunner runner(fs.get());
-      JobReport report;
-      ASSERT_TRUE(runner.Run(job, &report).ok());
-      MetricsSnapshot serde =
-          MetricsRegistry::Default().Snapshot().Diff(before);
-      MetricsSnapshot scan = registry.Snapshot();
+  for (const bool lazy : {false, true}) {
+    for (int parallelism : {1, 4}) {
+      for (uint64_t batch_rows : {uint64_t{7}, uint64_t{1024}}) {
+        SCOPED_TRACE(std::string(lazy ? "lazy" : "eager") +
+                     " parallelism=" + std::to_string(parallelism) +
+                     " batch_rows=" + std::to_string(batch_rows));
+        MetricsRegistry registry;
+        Job job;
+        job.config.input_paths = {"/tally"};
+        job.config.projection = {"id", "tag", "attrs"};
+        job.config.lazy_records = lazy;
+        job.config.parallelism = parallelism;
+        job.config.batch_rows = batch_rows;
+        job.config.metrics = &registry;
+        job.input_format = std::make_shared<ColumnInputFormat>();
+        job.mapper = [](Record& record, Emitter* out) {
+          const uint64_t id =
+              static_cast<uint64_t>(record.GetOrDie("id").int64_value());
+          if (TouchesTag(id)) record.GetOrDie("tag");
+          if (TouchesAttrs(id)) {
+            const int64_t entries = static_cast<int64_t>(
+                record.GetOrDie("attrs").map_entries().size());
+            out->Emit(Value::Int32(0), Value::Int64(entries));
+          }
+        };
+        job.reducer = [](const Value& key, const std::vector<Value>& values,
+                         Emitter* out) {
+          int64_t sum = 0;
+          for (const Value& v : values) sum += v.int64_value();
+          out->Emit(key, Value::Int64(sum));
+        };
+        const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+        JobRunner runner(fs.get());
+        JobReport report;
+        ASSERT_TRUE(runner.Run(job, &report).ok());
+        MetricsSnapshot serde =
+            MetricsRegistry::Default().Snapshot().Diff(before);
+        MetricsSnapshot scan = registry.Snapshot();
 
-      EXPECT_EQ(report.map_input_records, kTallyRows);
-      ASSERT_EQ(report.output.size(), 1u);
-      EXPECT_EQ(static_cast<uint64_t>(report.output[0].second.int64_value()),
-                expected.serde_decoded);
-      EXPECT_EQ(scan.counters["cif.scan.values_skipped"],
-                expected.values_skipped);
-      EXPECT_EQ(scan.counters["cif.scan.values_read"], expected.values_read);
-      EXPECT_EQ(scan.counters["cif.lazy.field_reads"], expected.field_reads);
-      EXPECT_EQ(serde.counters["serde.skip.values"], expected.serde_skipped);
-      EXPECT_EQ(serde.counters["serde.decode.values"],
-                expected.serde_decoded);
+        EXPECT_EQ(report.map_input_records, kTallyRows);
+        ASSERT_EQ(report.output.size(), 1u);
+        EXPECT_EQ(
+            static_cast<uint64_t>(report.output[0].second.int64_value()),
+            expected.serde_decoded);
+        EXPECT_EQ(scan.counters["cif.lazy.field_reads"],
+                  expected.field_reads);
+        if (lazy) {
+          EXPECT_EQ(scan.counters["cif.scan.values_skipped"],
+                    expected.values_skipped);
+          EXPECT_EQ(scan.counters["cif.scan.values_read"],
+                    expected.values_read);
+          EXPECT_EQ(serde.counters["serde.skip.values"],
+                    expected.serde_skipped);
+          EXPECT_EQ(serde.counters["serde.decode.values"],
+                    expected.serde_decoded);
+        } else {
+          EXPECT_EQ(scan.counters["cif.scan.values_skipped"], 0u);
+          EXPECT_EQ(scan.counters["cif.scan.values_read"],
+                    kTallyRows * job.config.projection.size());
+          EXPECT_EQ(serde.counters["serde.skip.values"], 0u);
+        }
+      }
     }
   }
 }

@@ -642,7 +642,7 @@ struct ZonedScan {
 /// Scans seq and int0 of the zoned dataset at `path` under `where`,
 /// pushed down, through the CIF reader alone, so its counters hold only
 /// what the reader requested: the schema, the footers it needed and the
-/// column fills.
+/// column fills. Every non-empty batch must carry a selection vector.
 ZonedScan ScanZoned(MiniHdfs* fs, const std::string& path,
                     const std::string& where, bool lazy = false) {
   MetricsRegistry metrics;
@@ -670,7 +670,12 @@ ZonedScan ScanZoned(MiniHdfs* fs, const std::string& path,
                     .ok());
     EXPECT_TRUE(ForEachMappedRecord(
                     reader.get(), config.batch_rows, config.predicate.get(),
-                    [] { return Status::OK(); },
+                    [&] {
+                      // Eager or lazy, a pushed-down predicate is
+                      // evaluated over the batch: never row-wise.
+                      EXPECT_NE(reader->selection(), nullptr);
+                      return Status::OK();
+                    },
                     [&](Record& record) {
                       // A misread column fails the check, not the binary.
                       const Value* int0 = nullptr;

@@ -270,20 +270,16 @@ TEST(CorruptionTest, TruncatedColumnFilesFailCleanly) {
   }
 }
 
-// A lazy column that fails mid-split must fail the job even when the
-// mapper swallows the Get() error and skips the row; otherwise the job
-// succeeds with rows silently missing. An unknown field name, by
-// contrast, fails only its own Get().
-TEST(CorruptionTest, TruncatedLazyColumnFailsTheJob) {
-  auto fs = MakeFs();
+// One split at /lazy: 5000 rows of `id` (the row number) and `heavy` (a
+// 20-60 byte string), both skip-list columns.
+void WriteTwoColumnSplit(MiniHdfs* fs) {
   Schema::Ptr schema;
   ASSERT_TRUE(
       Schema::Parse("record R { id: int, heavy: string }", &schema).ok());
   CofOptions options;
   options.default_column.layout = ColumnLayout::kSkipList;
   std::unique_ptr<CofWriter> writer;
-  ASSERT_TRUE(CofWriter::Open(fs.get(), "/lazy", schema, options, &writer)
-                  .ok());
+  ASSERT_TRUE(CofWriter::Open(fs, "/lazy", schema, options, &writer).ok());
   Random rng(8);
   for (int i = 0; i < 5000; ++i) {
     const Value record = Value::Record(
@@ -292,6 +288,31 @@ TEST(CorruptionTest, TruncatedLazyColumnFailsTheJob) {
   }
   ASSERT_TRUE(writer->Close().ok());
   ASSERT_EQ(writer->split_count(), 1);
+}
+
+// Cuts /lazy's heavy.col at 60% of its bytes; its header still promises
+// 5000 rows.
+void TruncateHeavyColumn(MiniHdfs* fs) {
+  const std::string path = SplitDirName("/lazy", 0) + "/heavy.col";
+  std::unique_ptr<FileReader> reader;
+  ASSERT_TRUE(fs->Open(path, ReadContext{}, &reader).ok());
+  std::string full;
+  ASSERT_TRUE(reader->Read(0, reader->size(), &full).ok());
+  reader.reset();
+  ASSERT_TRUE(fs->Delete(path).ok());
+  std::unique_ptr<FileWriter> truncated;
+  ASSERT_TRUE(fs->Create(path, &truncated).ok());
+  truncated->Append(Slice(full.data(), full.size() * 6 / 10));
+  ASSERT_TRUE(truncated->Close().ok());
+}
+
+// A lazy column that fails mid-split must fail the job even when the
+// mapper swallows the Get() error and skips the row; otherwise the job
+// succeeds with rows silently missing. An unknown field name, by
+// contrast, fails only its own Get().
+TEST(CorruptionTest, TruncatedLazyColumnFailsTheJob) {
+  auto fs = MakeFs();
+  ASSERT_NO_FATAL_FAILURE(WriteTwoColumnSplit(fs.get()));
 
   const auto run = [&](uint64_t batch_rows, int parallelism,
                        JobReport* report) {
@@ -322,18 +343,7 @@ TEST(CorruptionTest, TruncatedLazyColumnFailsTheJob) {
     EXPECT_EQ(report.output.size(), 1667u);
   }
 
-  // Cut heavy.col at 60% of its bytes; its header still promises 5000 rows.
-  const std::string path = SplitDirName("/lazy", 0) + "/heavy.col";
-  std::unique_ptr<FileReader> reader;
-  ASSERT_TRUE(fs->Open(path, ReadContext{}, &reader).ok());
-  std::string full;
-  ASSERT_TRUE(reader->Read(0, reader->size(), &full).ok());
-  reader.reset();
-  ASSERT_TRUE(fs->Delete(path).ok());
-  std::unique_ptr<FileWriter> truncated;
-  ASSERT_TRUE(fs->Create(path, &truncated).ok());
-  truncated->Append(Slice(full.data(), full.size() * 6 / 10));
-  ASSERT_TRUE(truncated->Close().ok());
+  ASSERT_NO_FATAL_FAILURE(TruncateHeavyColumn(fs.get()));
 
   for (uint64_t batch_rows : {uint64_t{1}, uint64_t{1024}}) {
     for (int parallelism : {1, 4}) {
@@ -343,6 +353,74 @@ TEST(CorruptionTest, TruncatedLazyColumnFailsTheJob) {
       EXPECT_FALSE(run(batch_rows, parallelism, &report).ok())
           << "rows mapped: " << report.output.size();
     }
+  }
+}
+
+// The reader-level form of BatchDecodeTest.TruncatedInputErrorParity, over
+// two columns: eager scans in one-row and 177-row batches and lazy scans
+// touching every row serve the same rows before the truncated column
+// fails, then report the same status.
+TEST(CorruptionTest, TruncatedColumnErrorParityAcrossRecordModes) {
+  auto fs = MakeFs();
+  ASSERT_NO_FATAL_FAILURE(WriteTwoColumnSplit(fs.get()));
+  ASSERT_NO_FATAL_FAILURE(TruncateHeavyColumn(fs.get()));
+  struct Scan {
+    std::vector<std::string> rows;  // "id:heavy" per row served
+    Status status;
+  };
+  const auto scan = [&](bool lazy, uint64_t batch_rows) {
+    ColumnInputFormat format;
+    JobConfig config;
+    config.input_paths = {"/lazy"};
+    config.lazy_records = lazy;
+    std::vector<InputSplit> splits;
+    EXPECT_TRUE(format.GetSplits(fs.get(), config, &splits).ok());
+    std::unique_ptr<RecordReader> reader;
+    EXPECT_TRUE(format
+                    .CreateRecordReader(fs.get(), config, splits.at(0),
+                                        ReadContext{}, &reader)
+                    .ok());
+    Scan out;
+    Status get;
+    uint64_t filled = 0;
+    while (get.ok() && (filled = reader->FillBatch(batch_rows)) > 0) {
+      for (uint64_t r = 0; r < filled && get.ok(); ++r) {
+        Record& record = reader->RecordAt(r);
+        const Value* id = nullptr;
+        const Value* heavy = nullptr;
+        get = record.Get("id", &id);
+        if (get.ok()) get = record.Get("heavy", &heavy);
+        if (get.ok()) {
+          out.rows.push_back(std::to_string(id->int32_value()) + ":" +
+                             heavy->string_value());
+        }
+      }
+    }
+    // A failed Get returns the column's error, which fails the reader.
+    if (!get.ok()) {
+      EXPECT_EQ(get.ToString(), reader->status().ToString());
+    }
+    out.status = reader->status();
+    return out;
+  };
+
+  const Scan one_row = scan(false, 1);
+  EXPECT_FALSE(one_row.status.ok());
+  ASSERT_GT(one_row.rows.size(), 0u);
+  ASSERT_LT(one_row.rows.size(), 5000u);
+  for (size_t i = 0; i < one_row.rows.size(); ++i) {
+    ASSERT_EQ(one_row.rows[i].substr(0, one_row.rows[i].find(':')),
+              std::to_string(i));
+  }
+  const std::pair<bool, uint64_t> arms[] = {{false, 177}, {true, 177},
+                                            {true, 1024}};
+  for (const auto& [lazy, batch_rows] : arms) {
+    SCOPED_TRACE(std::string(lazy ? "lazy" : "eager") + " batch_rows=" +
+                 std::to_string(batch_rows));
+    const Scan other = scan(lazy, batch_rows);
+    EXPECT_EQ(other.rows.size(), one_row.rows.size());
+    EXPECT_TRUE(other.rows == one_row.rows);
+    EXPECT_EQ(other.status.ToString(), one_row.status.ToString());
   }
 }
 
