@@ -2,12 +2,15 @@
 // projected CIF scan — find content-types of pages whose URL matches —
 // run repeatedly over the same dataset, cache off vs on. The first cached
 // run pays the verifying read path and warms the cache; subsequent runs
-// serve every block from memory (zero-copy pinned views, no replica
-// selection, no CRC re-verification), which is the re-scan speedup a real
-// Hadoop cluster gets from the OS page cache on hot data.
+// serve every block from memory: no replica selection, no fault draws, no
+// CRC verification and no byte charge, which is the re-scan speedup a
+// real Hadoop cluster gets from the OS page cache on hot data. Reads are
+// views of block bytes with the cache off too, so the verifying path is
+// all a hit saves.
 //
-// Expected shape: warm-cache wall time >= 1.5x faster than the uncached
-// scan, with hdfs.cache.hits nonzero and bytes_read collapsing to ~0.
+// Expected shape: warm-cache wall time about 1.3x faster than the
+// uncached scan (1.23-1.31x over 3 runs at scale 1 on a 4-vCPU VM), with
+// hdfs.cache.hits nonzero and bytes_read 0.
 
 #include <cstdio>
 #include <memory>

@@ -69,7 +69,11 @@ Status ResolveReadSet(const Schema& schema, const JobConfig& config,
 /// File-level refutation for split pruning: merges the zone-map footers of
 /// the predicate's columns in `dir` and asks whether any row can match.
 /// Also reports the split's row/rowgroup counts (from the footers) for the
-/// prune counters. Columns without a readable footer never refute.
+/// prune counters. Columns without a footer never refute, and neither do
+/// columns whose footer read fails: a plan attempt reads every split's
+/// footers, so failing it on one read would rarely let a plan under read
+/// faults complete. The split is kept, and its map task, which reads the
+/// same footers under pushdown, surfaces the error and retries.
 bool SplitRefuted(MiniHdfs* fs, const std::string& dir, const Schema& schema,
                   const Predicate& predicate, const ReadContext& context,
                   uint64_t* rows, uint64_t* groups) {

@@ -167,16 +167,24 @@ Status ColumnFileReader::LoadBlock() {
   uint64_t n_records, compressed_len;
   COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&n_records));
   COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&compressed_len));
+  return DecompressBlock(n_records, compressed_len);
+}
+
+Status ColumnFileReader::DecompressBlock(uint64_t n_records,
+                                         uint64_t compressed_len) {
   Slice compressed;
   COLMR_RETURN_IF_ERROR(input_->Peek(compressed_len, &compressed));
   if (compressed.size() < compressed_len) {
     return Status::Corruption("cif column: truncated block");
   }
-  block_.Clear();
+  Buffer raw;
   COLMR_RETURN_IF_ERROR(
-      codec_->Decompress(compressed.Prefix(compressed_len), &block_));
+      codec_->Decompress(compressed.Prefix(compressed_len), &raw));
   input_->Consume(compressed_len);
-  block_cursor_ = block_.AsSlice();
+  // Batches pin the block their strings point into, so each block gets
+  // a buffer of its own.
+  block_ = std::make_shared<const std::string>(raw.TakeString());
+  block_cursor_ = Slice(*block_);
   block_rows_left_ = n_records;
   block_loaded_ = true;
   m_blocks_decompressed_.Add();
@@ -213,14 +221,10 @@ Status ColumnFileReader::DecodeSegmentBatch(uint64_t count,
     Slice view;
     COLMR_RETURN_IF_ERROR(input_->Peek(window, &view));
     Slice cursor = view;
-    // A pinned window is an immutable cache block the batch can keep
-    // alive, so strings decode as zero-copy slices into it; the owned
-    // buffer is recycled by the next fill, so strings must be copied out.
-    std::shared_ptr<const std::string> pin = input_->PinnedWindow();
     size_t got = 0;
-    Status s = DecodeColumnBatch(*type_, &cursor, left,
-                                 /*copy_strings=*/pin == nullptr, batch, &got);
-    if (got > 0 && pin != nullptr) batch->AddKeepalive(std::move(pin));
+    Status s = DecodeColumnBatch(*type_, &cursor, left, batch, &got);
+    // Strings are slices into the window: the batch pins its bytes.
+    if (got > 0) batch->AddKeepalive(input_->PinnedWindow());
     const size_t consumed = cursor.data() - view.data();
     const size_t view_left = view.size() - consumed;
     input_->Consume(consumed);
@@ -365,8 +369,9 @@ Status ColumnFileReader::DecodeBatch(uint64_t n, ColumnBatch* batch) {
         size_t got = 0;
         // The block is fully resident and decompressed, so any decode
         // failure is real corruption, never truncation — no retry.
-        Status s = DecodeColumnBatch(*type_, &block_cursor_, seg,
-                                     /*copy_strings=*/true, batch, &got);
+        Status s = DecodeColumnBatch(*type_, &block_cursor_, seg, batch,
+                                     &got);
+        if (got > 0) batch->AddKeepalive(block_);
         current_row_ += got;
         block_rows_left_ -= got;
         take -= got;
@@ -413,20 +418,7 @@ Status ColumnFileReader::Skip(uint64_t n) {
       } else {
         // Partial skip: the block must be decompressed to find value
         // boundaries.
-        Slice compressed;
-        COLMR_RETURN_IF_ERROR(input_->Peek(compressed_len, &compressed));
-        if (compressed.size() < compressed_len) {
-          return Status::Corruption("cif column: truncated block");
-        }
-        block_.Clear();
-        COLMR_RETURN_IF_ERROR(
-            codec_->Decompress(compressed.Prefix(compressed_len), &block_));
-        input_->Consume(compressed_len);
-        block_cursor_ = block_.AsSlice();
-        block_rows_left_ = n_records;
-        block_loaded_ = true;
-        m_blocks_decompressed_.Add();
-        m_decompressed_bytes_.Add(block_cursor_.size());
+        COLMR_RETURN_IF_ERROR(DecompressBlock(n_records, compressed_len));
       }
     }
     return Status::OK();

@@ -34,13 +34,12 @@ class ColumnFileReader {
   ColumnFileReader& operator=(const ColumnFileReader&) = delete;
 
   /// Batch read (DESIGN.md §10): resets *batch and fills it with the next
-  /// min(n, remaining) rows, advancing the cursor past them. Plain and
-  /// skip-list layouts decode straight out of the buffered window — when
-  /// the window is a pinned cache block, strings are zero-copy slices
-  /// into it, kept alive by the batch. Returns OK with an empty batch at
-  /// end of column. On error, the batch holds the rows decoded before the
-  /// failing value (the cursor rests on it), and the status is the same
-  /// whatever n is: one-row batches fail where bulk ones do.
+  /// min(n, remaining) rows, advancing the cursor past them. Strings are
+  /// slices into the bytes they decode from — the buffered window, or a
+  /// decompressed block — which the batch pins. Returns OK with an empty
+  /// batch at end of column. On error, the batch holds the rows decoded
+  /// before the failing value (the cursor rests on it), and the status is
+  /// the same whatever n is: one-row batches fail where bulk ones do.
   Status NextBatch(uint64_t n, ColumnBatch* batch);
 
   /// Advances n rows (clamped to the end) without materializing values.
@@ -79,6 +78,8 @@ class ColumnFileReader {
   Status ConsumeBoundary();
   /// Block layout: reads the next block header and decompresses it.
   Status LoadBlock();
+  /// Block layout: decompresses the block whose header was just read.
+  Status DecompressBlock(uint64_t n_records, uint64_t compressed_len);
   Status SkipOneValue();
   /// Batch helpers: windowed decode of `count` rows into *batch for the
   /// uncompressed layouts (plain segment / skip-list segment / DCSL
@@ -105,7 +106,7 @@ class ColumnFileReader {
   // Compressed-block state.
   const Codec* codec_ = nullptr;
   bool block_loaded_ = false;
-  Buffer block_;
+  std::shared_ptr<const std::string> block_;  // decompressed bytes
   Slice block_cursor_;
   uint64_t block_rows_left_ = 0;
 

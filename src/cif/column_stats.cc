@@ -246,22 +246,20 @@ Status ReadColumnStats(MiniHdfs* fs, const std::string& path,
   if (!fs->Open(path, context, &reader).ok()) return Status::OK();
   const uint64_t size = reader->size();
   if (size < 8) return Status::OK();
-  std::string trailer;
-  if (!reader->Read(size - 8, 8, &trailer).ok()) return Status::OK();
+  Slice trailer;
+  std::shared_ptr<const std::string> pin;
+  COLMR_RETURN_IF_ERROR(reader->Read(size - 8, 8, &trailer, &pin));
   if (std::memcmp(trailer.data() + 4, kCifStatsMagic, 4) != 0) {
     return Status::OK();  // pre-stats file: no footer
   }
-  Slice trailer_slice(trailer.data(), 4);
   uint32_t payload_len = 0;
-  if (!GetFixed32(&trailer_slice, &payload_len).ok()) return Status::OK();
+  if (!GetFixed32(&trailer, &payload_len).ok()) return Status::OK();
   if (payload_len > size - 8) return Status::OK();
-  std::string payload;
-  if (!reader->Read(size - 8 - payload_len, payload_len, &payload).ok()) {
-    return Status::OK();
-  }
+  Slice payload;
+  COLMR_RETURN_IF_ERROR(
+      reader->Read(size - 8 - payload_len, payload_len, &payload, &pin));
   ColumnFileStats parsed;
-  if (!ParseStatsPayload(Slice(payload), size - 8 - payload_len, &parsed)
-           .ok()) {
+  if (!ParseStatsPayload(payload, size - 8 - payload_len, &parsed).ok()) {
     return Status::OK();
   }
   *out = std::move(parsed);

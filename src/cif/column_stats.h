@@ -77,10 +77,11 @@ struct ColumnFileStats {
 
 /// Reads the stats footer of the column file at `path` with a positioned
 /// tail read (the sequential scan cursor is untouched). Stats are
-/// advisory: every failure mode — missing footer, old file, unreadable
-/// tail, CRC mismatch, corrupt or unknown-version payload — reports
-/// *present = false with an OK status, so a scan can never fail because
-/// of its zone maps.
+/// advisory: a missing file or footer, an old file, a CRC mismatch and a
+/// corrupt or unknown-version payload all report *present = false with an
+/// OK status, so no file's bytes can fail a scan through its zone maps.
+/// A read that fails (every replica erred, or none is left) returns its
+/// Status, so a map task retries its attempt rather than scan unpruned.
 Status ReadColumnStats(MiniHdfs* fs, const std::string& path,
                        const ReadContext& context, ColumnFileStats* out,
                        bool* present);

@@ -17,7 +17,8 @@ BlockCache::BlockCache(uint64_t capacity_bytes, MetricsRegistry* metrics)
 }
 
 std::shared_ptr<const std::string> BlockCache::Lookup(uint64_t block_id,
-                                                      uint64_t generation) {
+                                                      uint64_t generation,
+                                                      uint64_t served_bytes) {
   Shard& shard = ShardFor(block_id);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(Key{block_id, generation});
@@ -27,7 +28,7 @@ std::shared_ptr<const std::string> BlockCache::Lookup(uint64_t block_id,
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   m_hits_->Increment();
-  m_hit_bytes_->Increment(it->second->data->size());
+  m_hit_bytes_->Increment(served_bytes);
   return it->second->data;
 }
 

@@ -47,10 +47,12 @@ class BlockCache {
   uint64_t capacity_bytes() const { return capacity_bytes_; }
 
   /// Returns the cached bytes for (block_id, generation), or nullptr.
-  /// Bumps hdfs.cache.{hits,misses,hit_bytes} and the entry's LRU
-  /// position.
+  /// Bumps hdfs.cache.{hits,misses} and the entry's LRU position; a hit
+  /// adds `served_bytes`, the part of the block the caller serves from
+  /// it, to hdfs.cache.hit_bytes.
   std::shared_ptr<const std::string> Lookup(uint64_t block_id,
-                                            uint64_t generation);
+                                            uint64_t generation,
+                                            uint64_t served_bytes = 0);
 
   /// Presence probe for prefetch planning: no metric bump, no LRU touch.
   bool Contains(uint64_t block_id, uint64_t generation) const;

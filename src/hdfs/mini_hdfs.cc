@@ -775,7 +775,7 @@ uint32_t ServedCrc(const std::string& data, bool corrupted) {
 }  // namespace
 
 Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
-                             std::string* out) const {
+                             std::shared_ptr<const std::string>* data) const {
   if (context_.cancel != nullptr &&
       context_.cancel->load(std::memory_order_relaxed)) {
     return Status::IoError("read canceled by the issuing task");
@@ -792,8 +792,8 @@ Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
   // be behind a hit (CorruptReplica bumps the generation and erases).
   if (cache_ != nullptr) {
     if (std::shared_ptr<const std::string> cached =
-            cache_->Lookup(block.info.id, block.info.generation)) {
-      out->append(*cached, from, to - from);
+            cache_->Lookup(block.info.id, block.info.generation, to - from)) {
+      *data = std::move(cached);
       return Status::OK();
     }
   }
@@ -838,7 +838,7 @@ Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
     if (cache_ != nullptr) {
       cache_->Insert(block.info.id, block.info.generation, block.data);
     }
-    out->append(*block.data, from, to - from);
+    *data = block.data;
     // Local-first candidate order means the local replica serves
     // whenever it is live and good, so fault-free accounting matches
     // the pre-failover definition ("local iff the reading node holds a
@@ -894,11 +894,17 @@ Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
                           std::to_string(block.info.id) + " of " + path_);
 }
 
-Status FileReader::Read(uint64_t offset, size_t n, std::string* out) const {
-  out->clear();
+Status FileReader::Read(uint64_t offset, size_t n, Slice* out,
+                        std::shared_ptr<const std::string>* pin,
+                        size_t cached_min) const {
+  *out = Slice();
+  pin->reset();
   if (offset >= size_) return Status::OK();
   n = std::min<uint64_t>(n, size_ - offset);
-  out->reserve(n);
+  if (cached_min > 0 &&
+      ServeCached(offset, n, std::min(cached_min, n), out, pin)) {
+    return Status::OK();
+  }
 
   if (context_.stats != nullptr) {
     context_.stats->reads += 1;
@@ -911,20 +917,37 @@ Status FileReader::Read(uint64_t offset, size_t n, std::string* out) const {
     span.AddArg("offset", offset);
     span.AddArg("bytes", static_cast<uint64_t>(n));
   }
+  if (n == 0) return Status::OK();
 
   uint64_t block_start = 0;
-  for (const BlockRef& block : blocks_) {
-    const uint64_t block_end = block_start + block.info.size;
-    if (block_end > offset && block_start < offset + n) {
-      const uint64_t from = std::max(offset, block_start);
-      const uint64_t to = std::min(offset + n, block_end);
-      COLMR_RETURN_IF_ERROR(
-          ReadBlock(block, from - block_start, to - block_start, out));
-    }
-    block_start = block_end;
-    if (block_start >= offset + n) break;
+  size_t index = BlockIndexOf(offset, &block_start);
+  uint64_t from = offset - block_start;
+  if (from + n <= blocks_[index].info.size) {
+    COLMR_RETURN_IF_ERROR(ReadBlock(blocks_[index], from, from + n, pin));
+    *out = Slice((*pin)->data() + from, n);
+    return Status::OK();
   }
+  // The range spans blocks: join their parts.
+  auto joined = std::make_shared<std::string>();
+  joined->reserve(n);
+  for (; joined->size() < n; ++index, from = 0) {
+    const uint64_t to = std::min<uint64_t>(blocks_[index].info.size,
+                                           from + n - joined->size());
+    std::shared_ptr<const std::string> data;
+    COLMR_RETURN_IF_ERROR(ReadBlock(blocks_[index], from, to, &data));
+    joined->append(*data, from, to - from);
+  }
+  *out = Slice(*joined);
+  *pin = std::move(joined);
   return Status::OK();
+}
+
+Status FileReader::Read(uint64_t offset, size_t n, std::string* out) const {
+  Slice view;
+  std::shared_ptr<const std::string> pin;
+  const Status status = Read(offset, n, &view, &pin);
+  out->assign(view.data(), view.size());
+  return status;
 }
 
 size_t FileReader::BlockIndexOf(uint64_t offset, uint64_t* block_start) const {
@@ -941,23 +964,30 @@ size_t FileReader::BlockIndexOf(uint64_t offset, uint64_t* block_start) const {
   return blocks_.size();
 }
 
-bool FileReader::TryReadView(uint64_t offset, uint64_t max_len, Slice* view,
+bool FileReader::ServeCached(uint64_t offset, uint64_t n, uint64_t min_held,
+                             Slice* out,
                              std::shared_ptr<const std::string>* pin) const {
-  if (cache_ == nullptr || offset >= size_ || max_len == 0) return false;
+  if (cache_ == nullptr) return false;
   uint64_t block_start = 0;
-  const size_t index = BlockIndexOf(offset, &block_start);
-  if (index >= blocks_.size()) return false;
-  const BlockRef& block = blocks_[index];
-  std::shared_ptr<const std::string> cached =
-      cache_->Lookup(block.info.id, block.info.generation);
-  if (cached == nullptr) return false;
+  const BlockRef& block = blocks_[BlockIndexOf(offset, &block_start)];
   const uint64_t in_block = offset - block_start;
-  const uint64_t len = std::min(max_len, block.info.size - in_block);
+  const uint64_t held = block.info.size - in_block;
+  if (held < min_held) return false;
+  const uint64_t len = std::min(n, held);
+  std::shared_ptr<const std::string> cached =
+      cache_->Lookup(block.info.id, block.info.generation, len);
+  if (cached == nullptr) return false;
   m_read_ops_->Increment();
   m_read_bytes_->Observe(len);
-  *view = Slice(cached->data() + in_block, len);
+  *out = Slice(cached->data() + in_block, len);
   *pin = std::move(cached);
   return true;
+}
+
+bool FileReader::TryReadView(uint64_t offset, uint64_t max_len, Slice* view,
+                             std::shared_ptr<const std::string>* pin) const {
+  return offset < size_ && max_len > 0 &&
+         ServeCached(offset, max_len, 1, view, pin);
 }
 
 void FileReader::Prefetch(uint64_t offset) const {

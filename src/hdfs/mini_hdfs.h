@@ -411,15 +411,29 @@ class FileReader {
            context_.prefetch_depth > 0;
   }
 
-  /// Reads up to n bytes at offset into *out (replacing its contents).
-  /// Short reads happen only at end-of-file.
+  /// Reads up to n bytes at offset as a view: *out stays valid while *pin
+  /// is held, whatever later happens to this reader, the file or the
+  /// cache. Short reads happen only at end-of-file. A range inside one
+  /// block is a view of that block's immutable bytes (a cache entry and
+  /// the stored block are the same buffer); a range spanning blocks is
+  /// joined into a fresh buffer. One read op either way.
+  ///
+  /// With cached_min > 0 the read may stop early: when the block holding
+  /// `offset` is cached and holds at least min(cached_min, n) of the
+  /// range, only that block's part is served, as a memory hit — counted
+  /// in hdfs.read.{ops,bytes}, but charged nothing in IoStats and traced
+  /// by no hdfs.read span (a memory hit has no simulated I/O cost).
+  Status Read(uint64_t offset, size_t n, Slice* out,
+              std::shared_ptr<const std::string>* pin,
+              size_t cached_min = 0) const;
+
+  /// Copying form of the view read: replaces *out with the bytes.
   Status Read(uint64_t offset, size_t n, std::string* out) const;
 
-  /// Zero-copy read: when the block containing `offset` is in the cache,
-  /// sets *view to the bytes [offset, min(offset + max_len, block end))
-  /// and *pin to shared ownership keeping them alive, and returns true.
-  /// The view never crosses a block boundary. Counts as a cache hit;
-  /// charges nothing to IoStats (a memory hit has no simulated I/O cost).
+  /// The memory-hit half of Read alone, for jumps that must not read:
+  /// when the block holding `offset` is cached, sets *view to the bytes
+  /// [offset, min(offset + max_len, block end)) pinned by *pin and
+  /// returns true; otherwise returns false with nothing charged.
   bool TryReadView(uint64_t offset, uint64_t max_len, Slice* view,
                    std::shared_ptr<const std::string>* pin) const;
 
@@ -448,10 +462,17 @@ class FileReader {
   /// start offset; blocks_.size() when past EOF.
   size_t BlockIndexOf(uint64_t offset, uint64_t* block_start) const;
 
-  /// Serves [from, to) of one block (offsets block-relative), appending to
-  /// *out, with replica selection, checksum verification, and failover.
+  /// Serves [from, to) of one block (offsets block-relative) from the
+  /// cache or, with replica selection, checksum verification and
+  /// failover, from a replica: *data is the block's bytes either way.
   Status ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
-                   std::string* out) const;
+                   std::shared_ptr<const std::string>* data) const;
+
+  /// Read's memory hit: serves [offset, offset + min(n, block rest)) from
+  /// the cached block holding `offset` when that block holds at least
+  /// `min_held` bytes from it. offset < size().
+  bool ServeCached(uint64_t offset, uint64_t n, uint64_t min_held,
+                   Slice* out, std::shared_ptr<const std::string>* pin) const;
 
   const MiniHdfs* fs_;
   std::string path_;

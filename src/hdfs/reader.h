@@ -18,12 +18,15 @@ namespace colmr {
 /// fetch. This is the mechanism behind the paper's observation that RCFile
 /// reads 20x more bytes than CIF when projecting one column (Section 6.2).
 ///
-/// Cache integration (DESIGN.md §9): when the underlying FileReader has a
-/// block cache attached, fills landing inside a cached block are served
-/// as a pinned zero-copy view of the cached bytes instead of a copy into
-/// the owned buffer. The ReadContext's `prefetch_depth` schedules
-/// asynchronous warming of upcoming blocks once the access pattern looks
-/// sequential (two fills without an out-of-window reposition).
+/// The window is a view of immutable block bytes (DESIGN.md §9): each
+/// fill is one FileReader::Read, whose view pins the block it lies in, or
+/// a fresh buffer when it spans two. The unread tail of the old window
+/// carries over as a view inside the new view's block; only a tail lying
+/// in the previous block is copied, joined with the new bytes. An empty
+/// window may refill from a cached block alone. The ReadContext's
+/// `prefetch_depth` schedules asynchronous warming of upcoming blocks once
+/// the access pattern looks sequential (two fills without an
+/// out-of-window reposition).
 class BufferedReader {
  public:
   /// buffer_size == 0 uses the filesystem's configured io_buffer_size.
@@ -46,16 +49,14 @@ class BufferedReader {
   /// of the last Peek result.
   void Consume(size_t n);
 
-  /// The shared pin keeping the current zero-copy window (a cached block)
-  /// alive, or nullptr when the window is the reader-owned buffer. A
-  /// caller that retains the returned pointer extends the lifetime of the
-  /// last Peek's slices past future reader operations — the mechanism the
-  /// batch scan uses to hand out strings without copying them (DESIGN.md
-  /// §10).
+  /// The shared pin keeping the window's bytes alive (null while the
+  /// window is empty). A caller that retains it extends the lifetime of
+  /// the last Peek's slices past future reader operations — how the batch
+  /// scan hands out strings without copying them (DESIGN.md §10).
   std::shared_ptr<const std::string> PinnedWindow() const { return pin_; }
 
   /// Repositions the cursor. Jumping outside the buffered range counts a
-  /// seek and discards the buffer (prefetched bytes stay charged).
+  /// seek and discards the window (prefetched bytes stay charged).
   Status Seek(uint64_t offset);
 
   /// Skips n bytes forward: consumes from the buffer when possible,
@@ -73,7 +74,7 @@ class BufferedReader {
 
   /// File offset just past the buffered window. Bytes before it have been
   /// requested; a jump past it leaves the rest unrequested.
-  uint64_t window_end() const { return buffer_start_ + window_size(); }
+  uint64_t window_end() const { return window_start_ + window_.size(); }
 
   // Convenience decoders over Peek/Consume.
   Status ReadVarint64(uint64_t* value);
@@ -86,32 +87,19 @@ class BufferedReader {
 
  private:
   Status Fill(size_t min_bytes);
-  /// Collapses the current window (owned or pinned) so it starts at the
-  /// cursor, switching back to owned mode and keeping un-consumed bytes.
-  void CompactToCursor();
+  /// Empties the window and puts the cursor at `offset`.
+  void Reposition(uint64_t offset);
   /// Issues async warming of blocks past the window once the access
   /// pattern is sequential.
   void MaybePrefetch();
 
-  // Window accessors: the buffered bytes span
-  // [buffer_start_, buffer_start_ + window_size()), backed either by the
-  // owned buffer_ or by a pinned cache block (zero-copy).
-  const char* window_data() const {
-    return pin_ != nullptr ? view_.data() : buffer_.data();
-  }
-  size_t window_size() const {
-    return pin_ != nullptr ? view_.size() : buffer_.size();
-  }
-
   std::unique_ptr<FileReader> file_;
   uint64_t buffer_size_;
-  uint64_t position_;       // logical cursor in the file
-  uint64_t buffer_start_;   // file offset of window_data()[0]
-  std::string buffer_;      // owned-mode storage
-  /// Pinned-mode state: pin_ keeps the cached block alive while view_
-  /// points into it. pin_ == nullptr means owned mode.
+  uint64_t position_ = 0;      // logical cursor in the file
+  uint64_t window_start_ = 0;  // file offset of window_[0]
+  /// The buffered bytes, a view kept alive by pin_.
+  Slice window_;
   std::shared_ptr<const std::string> pin_;
-  Slice view_;
   bool ever_read_ = false;
   /// Consecutive forward fills without an out-of-window reposition; >= 2
   /// marks the stream sequential for prefetch purposes.

@@ -160,12 +160,13 @@ Status SpillSegmentCursor::Open(MiniHdfs* fs, const SpillRun& run,
 bool SpillSegmentCursor::FillBlock() {
   if (pos_ >= end_) return false;  // segment drained
   // Block header: two varints plus a fixed32 CRC — at most 24 bytes.
-  std::string header;
+  Slice header;
+  std::shared_ptr<const std::string> header_pin;
   const size_t header_cap =
       static_cast<size_t>(std::min<uint64_t>(24, end_ - pos_));
-  status_ = reader_->Read(pos_, header_cap, &header);
+  status_ = reader_->Read(pos_, header_cap, &header, &header_pin);
   if (!status_.ok()) return false;
-  Slice h(header);
+  Slice h = header;
   uint64_t raw_len = 0, stored_len = 0;
   uint32_t crc = 0;
   status_ = GetVarint64(&h, &raw_len);
@@ -180,19 +181,21 @@ bool SpillSegmentCursor::FillBlock() {
     status_ = Status::Corruption("spill: block overruns segment");
     return false;
   }
-  status_ = reader_->Read(pos_ + header_len, stored_len, &stored_);
+  Slice stored;
+  status_ =
+      reader_->Read(pos_ + header_len, stored_len, &stored, &stored_pin_);
   if (!status_.ok()) return false;
-  if (stored_.size() != stored_len) {
+  if (stored.size() != stored_len) {
     status_ = Status::Corruption("spill: truncated block");
     return false;
   }
-  if (Crc32(Slice(stored_)) != crc) {
+  if (Crc32(stored) != crc) {
     status_ = Status::Corruption("spill: block checksum mismatch");
     return false;
   }
   if (codec_->type() != CodecType::kNone) {
     raw_.Clear();
-    status_ = codec_->Decompress(Slice(stored_), &raw_);
+    status_ = codec_->Decompress(stored, &raw_);
     if (!status_.ok()) return false;
     if (raw_.size() != raw_len) {
       status_ = Status::Corruption("spill: block raw-length mismatch");
@@ -200,11 +203,11 @@ bool SpillSegmentCursor::FillBlock() {
     }
     cursor_ = raw_.AsSlice();
   } else {
-    if (stored_.size() != raw_len) {
+    if (stored.size() != raw_len) {
       status_ = Status::Corruption("spill: block raw-length mismatch");
       return false;
     }
-    cursor_ = Slice(stored_);
+    cursor_ = stored;
   }
   pos_ += header_len + stored_len;
   return true;

@@ -150,10 +150,10 @@ class SpillRunWriter {
 };
 
 /// Streams the records of one partition's segment. From a run file it
-/// reads block by block — memory held is one block's raw + stored bytes,
-/// never the segment — and CRC mismatches and truncation surface as
-/// Corruption through status(). A resident segment is stable-sorted by
-/// key at Open and drained by moving its pairs out.
+/// reads block by block — memory held is one block's raw bytes plus a
+/// view of its stored bytes, never the segment — and CRC mismatches and
+/// truncation surface as Corruption through status(). A resident segment
+/// is stable-sorted by key at Open and drained by moving its pairs out.
 class SpillSegmentCursor {
  public:
   static Status Open(MiniHdfs* fs, const SpillRun& run, int partition,
@@ -184,7 +184,9 @@ class SpillSegmentCursor {
   const Codec* codec_ = nullptr;
   uint64_t pos_ = 0;  // next unread file offset
   uint64_t end_ = 0;  // one past the segment's last byte
-  std::string stored_;
+  /// Keeps the stored bytes of the current block alive: cursor_ views
+  /// them when the run is uncompressed.
+  std::shared_ptr<const std::string> stored_pin_;
   Buffer raw_;
   Slice cursor_;  // unread bytes of the current block
   Pair* next_pair_ = nullptr;  // resident: the unread pairs

@@ -1,29 +1,6 @@
 #include "serde/batch.h"
 
-#include <cstring>
-
 namespace colmr {
-
-char* BatchArena::Allocate(size_t n) {
-  bytes_allocated_ += n;
-  if (!chunks_.empty() && used_ + n <= chunks_[current_].capacity) {
-    char* out = chunks_[current_].data.get() + used_;
-    used_ += n;
-    return out;
-  }
-  // Advance to the next retained chunk that fits, or append a new one.
-  size_t next = chunks_.empty() ? 0 : current_ + 1;
-  while (next < chunks_.size() && chunks_[next].capacity < n) ++next;
-  if (next == chunks_.size()) {
-    Chunk chunk;
-    chunk.capacity = n > kChunkSize ? n : kChunkSize;
-    chunk.data = std::make_unique<char[]>(chunk.capacity);
-    chunks_.push_back(std::move(chunk));
-  }
-  current_ = next;
-  used_ = n;
-  return chunks_[current_].data.get();
-}
 
 void ColumnBatch::Reset(TypeKind kind) {
   kind_ = kind;
@@ -34,18 +11,7 @@ void ColumnBatch::Reset(TypeKind kind) {
   strings_.clear();
   boxed_.clear();
   nulls_.clear();
-  arena_.Clear();
   keepalive_.clear();
-}
-
-void ColumnBatch::AppendString(Slice s, bool copy) {
-  if (copy && !s.empty()) {
-    char* dst = arena_.Allocate(s.size());
-    memcpy(dst, s.data(), s.size());
-    s = Slice(dst, s.size());
-  }
-  strings_.push_back(s);
-  ++size_;
 }
 
 void ColumnBatch::MaterializeInto(size_t row, Value* out) const {

@@ -11,55 +11,18 @@
 
 namespace colmr {
 
-/// Bump allocator backing the string heap of a ColumnBatch. Allocations
-/// live until Clear(); Clear() keeps the chunks, so a reader that refills
-/// the same batch every NextBatch() reaches a steady state with zero
-/// allocator traffic (the Hadoop object-reuse contract, applied to bytes).
-class BatchArena {
- public:
-  BatchArena() = default;
-  BatchArena(const BatchArena&) = delete;
-  BatchArena& operator=(const BatchArena&) = delete;
-  BatchArena(BatchArena&&) = default;
-  BatchArena& operator=(BatchArena&&) = default;
-
-  /// Returns n writable bytes; never fails (aborts on OOM like new[]).
-  char* Allocate(size_t n);
-
-  /// Invalidates every outstanding allocation but keeps the chunk memory.
-  void Clear() {
-    current_ = 0;
-    used_ = 0;
-  }
-
-  /// Bytes handed out since the last Clear (for footprint accounting).
-  size_t bytes_allocated() const { return bytes_allocated_; }
-
- private:
-  static constexpr size_t kChunkSize = 64 * 1024;
-
-  struct Chunk {
-    std::unique_ptr<char[]> data;
-    size_t capacity = 0;
-  };
-
-  std::vector<Chunk> chunks_;
-  size_t current_ = 0;  // chunk being bump-allocated (when chunks_ nonempty)
-  size_t used_ = 0;     // bytes used in chunks_[current_]
-  size_t bytes_allocated_ = 0;
-};
-
 /// A batch of decoded values of one column, stored columnar: one typed
-/// contiguous lane per primitive kind, a Slice lane (arena- or
-/// cache-backed) for strings/bytes, a null bitmap, and a boxed Value lane
-/// as the fallback for array/map/record values. All rows of a batch share
-/// the column's TypeKind, so row index == lane index.
+/// contiguous lane per primitive kind, a Slice lane for strings/bytes, a
+/// null bitmap, and a boxed Value lane as the fallback for
+/// array/map/record values. All rows of a batch share the column's
+/// TypeKind, so row index == lane index.
 ///
-/// Lifetime: the contents of a batch — including every Slice returned by
-/// StringAt and every Value* returned by BoxedAt — are invalidated by the
-/// next Reset()/NextBatch() on the producing reader, mirroring Hadoop's
-/// record-reuse contract. Zero-copy string slices may point into cached
-/// file blocks; AddKeepalive pins those blocks for the batch's lifetime.
+/// Lifetime: string slices are views of the bytes they decoded from (a
+/// file block, a joined read window, a decompressed block), which the
+/// batch pins with AddKeepalive. The contents of a batch — every Slice
+/// returned by StringAt and every Value* returned by BoxedAt — stay valid
+/// until the next Reset()/NextBatch() on the producing reader, mirroring
+/// Hadoop's record-reuse contract.
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -68,8 +31,8 @@ class ColumnBatch {
   ColumnBatch(ColumnBatch&&) = default;
   ColumnBatch& operator=(ColumnBatch&&) = default;
 
-  /// Clears the batch for refilling with values of `kind`. Keeps lane and
-  /// arena capacity.
+  /// Clears the batch for refilling with values of `kind`. Keeps lane
+  /// capacity.
   void Reset(TypeKind kind);
 
   TypeKind kind() const { return kind_; }
@@ -99,10 +62,11 @@ class ColumnBatch {
     doubles_.push_back(v);
     ++size_;
   }
-  /// copy=true duplicates the bytes into the arena; copy=false stores the
-  /// slice as-is (caller guarantees the backing bytes outlive the batch,
-  /// e.g. via AddKeepalive).
-  void AppendString(Slice s, bool copy);
+  /// Stores the slice as-is: the caller pins its bytes (AddKeepalive).
+  void AppendString(Slice s) {
+    strings_.push_back(s);
+    ++size_;
+  }
   void AppendBoxed(Value v) {
     boxed_.push_back(std::move(v));
     ++size_;
@@ -118,7 +82,7 @@ class ColumnBatch {
     size_ += n;
   }
 
-  /// Pins backing storage (a cached file block) for zero-copy strings.
+  /// Pins the bytes string slices point into, for the batch's lifetime.
   /// Deduplicates against the most recent pin, the common refill pattern.
   void AddKeepalive(std::shared_ptr<const std::string> pin) {
     if (pin == nullptr) return;
@@ -142,8 +106,6 @@ class ColumnBatch {
   /// element-for-element.
   void MaterializeInto(size_t row, Value* out) const;
 
-  BatchArena* arena() { return &arena_; }
-
  private:
   void SetNullBit(size_t row) {
     const size_t byte = row >> 3;
@@ -156,10 +118,9 @@ class ColumnBatch {
   std::vector<uint8_t> bools_;
   std::vector<int64_t> ints_;  // int32 and int64 lanes share int64 storage
   std::vector<double> doubles_;
-  std::vector<Slice> strings_;  // into arena_ or a keepalive pin
+  std::vector<Slice> strings_;  // into a keepalive pin
   std::vector<Value> boxed_;    // array/map/record fallback lane
   std::vector<uint8_t> nulls_;  // bitmap, bit set = null
-  BatchArena arena_;
   std::vector<std::shared_ptr<const std::string>> keepalive_;
 };
 

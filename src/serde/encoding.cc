@@ -379,8 +379,7 @@ Status SkipValue(const Schema& schema, Slice* input, SerdeTally* tally) {
 }
 
 Status DecodeColumnBatch(const Schema& schema, Slice* input, size_t n,
-                         bool copy_strings, ColumnBatch* out,
-                         size_t* decoded) {
+                         ColumnBatch* out, size_t* decoded) {
   static Counter* batches = SerdeCounter("serde.batch.decoded");
   static Counter* rows = SerdeCounter("serde.batch.rows");
   static Counter* fallback = SerdeCounter("serde.batch.fallback_values");
@@ -464,7 +463,7 @@ Status DecodeColumnBatch(const Schema& schema, Slice* input, size_t n,
           *input = save;
           return st;
         }
-        out->AppendString(s, copy_strings);
+        out->AppendString(s);
         ++*decoded;
       }
       break;

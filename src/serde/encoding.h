@@ -63,9 +63,8 @@ size_t EncodedSize(const Schema& schema, const Value& value);
 /// bytes from *input. Primitive kinds go to the typed lanes via the bulk
 /// kernels in common/coding.h; array/map/record values fall back to
 /// DecodeValue into the boxed lane, counted once per call. Strings are
-/// stored as slices into *input when copy_strings is false (the caller
-/// then guarantees the backing bytes outlive the batch) and copied into
-/// the batch arena when true.
+/// stored as slices into *input: the caller pins the bytes *input views
+/// into the batch (ColumnBatch::AddKeepalive).
 ///
 /// On success *decoded == n. On failure the cursor is restored to the
 /// first byte of the failing value, *decoded holds the values appended
@@ -73,8 +72,7 @@ size_t EncodedSize(const Schema& schema, const Value& value);
 /// would have returned for that value — so callers can apply the same
 /// truncation-versus-corruption retry logic to either path.
 Status DecodeColumnBatch(const Schema& schema, Slice* input, size_t n,
-                         bool copy_strings, ColumnBatch* out,
-                         size_t* decoded);
+                         ColumnBatch* out, size_t* decoded);
 
 /// Decoder hardening: a container count read from untrusted bytes is
 /// rejected unless it is plausible for the bytes that remain (at most

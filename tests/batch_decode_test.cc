@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "cif/column_writer.h"
 #include "common/random.h"
 #include "compress/codec.h"
+#include "hdfs/block_cache.h"
 #include "hdfs/mini_hdfs.h"
 #include "serde/batch.h"
 #include "serde/encoding.h"
@@ -241,6 +244,101 @@ TEST(BatchDecodeTest, MidBatchSkipRowsMatchesWrittenValues) {
         }
         ASSERT_EQ(reader->current_row(), pos);
       }
+    }
+  }
+}
+
+// String batches are views of the bytes they decoded from, which the
+// batch pins: a window of an uncached column, a cached block, windows
+// joined across HDFS block boundaries and decompressed blocks must all
+// outlive the reader, the file, the cache and the namespace itself.
+TEST(BatchDecodeTest, StringViewsOutliveTheirSources) {
+  ClusterConfig config = TestCluster();
+  config.block_size = 1024;  // 300-byte values straddle block boundaries
+  config.io_buffer_size = 256;
+  auto fs = std::make_unique<MiniHdfs>(
+      config, std::make_unique<ColumnPlacementPolicy>(36));
+  struct Source {
+    std::string path;
+    ColumnOptions options;
+    bool cached;
+    std::vector<std::string> written;
+    ColumnBatch batch;
+  };
+  ColumnOptions lzf;
+  lzf.layout = ColumnLayout::kCompressedBlocks;
+  lzf.codec = CodecType::kLzf;
+  lzf.block_size = 1024;
+  std::vector<Source> sources;
+  sources.push_back({"/uncached", {ColumnLayout::kPlain}, false, {}, {}});
+  sources.push_back({"/cached", {ColumnLayout::kSkipList}, true, {}, {}});
+  sources.push_back({"/lzf", lzf, false, {}, {}});
+  for (Source& source : sources) {
+    std::unique_ptr<ColumnFileWriter> writer;
+    ASSERT_TRUE(ColumnFileWriter::Create(fs.get(), source.path,
+                                         Schema::String(), source.options,
+                                         &writer)
+                    .ok());
+    for (int i = 0; i < 40; ++i) {
+      source.written.push_back(std::to_string(i) +
+                               std::string(300, static_cast<char>('a' + i)));
+      ASSERT_TRUE(writer->Append(Value::String(source.written.back())).ok());
+    }
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  fs->EnsureBlockCache(1 << 20, nullptr);
+  size_t joined = 0;
+  for (Source& source : sources) {
+    SCOPED_TRACE(source.path);
+    std::unique_ptr<FileReader> file;
+    ASSERT_TRUE(fs->Open(source.path, ReadContext{}, &file).ok());
+    // Views of the column's blocks as stored. Warming the cache through
+    // them makes the decode below hit; otherwise evict them again.
+    std::vector<std::pair<const char*, const char*>> blocks;
+    for (uint64_t at = 0; at < file->size(); at += config.block_size) {
+      Slice block;
+      std::shared_ptr<const std::string> pin;
+      ASSERT_TRUE(file->Read(at, config.block_size, &block, &pin).ok());
+      blocks.emplace_back(block.data(), block.data() + block.size());
+    }
+    if (!source.cached) fs->block_cache()->Clear();
+    std::unique_ptr<ColumnFileReader> reader;
+    ASSERT_TRUE(
+        ColumnFileReader::Open(fs.get(), source.path, ReadContext{}, &reader)
+            .ok());
+    ASSERT_TRUE(reader->NextBatch(1000, &source.batch).ok());
+    ASSERT_EQ(source.batch.size(), source.written.size());
+    if (source.options.layout == ColumnLayout::kCompressedBlocks) continue;
+    for (size_t i = 0; i < source.batch.size(); ++i) {
+      const char* at = source.batch.StringAt(i).data();
+      // Outside every stored block: a view of a joined window.
+      joined += std::none_of(blocks.begin(), blocks.end(),
+                             [at](const auto& b) {
+                               return at >= b.first && at < b.second;
+                             });
+    }
+  }
+  EXPECT_GT(joined, 0u);
+
+  // Every source goes: the readers, the files, the cache, and the whole
+  // namespace, replaced by another image.
+  const std::string image = ::testing::TempDir() + "/colmr_views_image.bin";
+  {
+    auto other = MakeFs(37);
+    WriteColumn(other.get(), "/other", Schema::String(), {}, 5, 100);
+    ASSERT_TRUE(other->SaveImage(image).ok());
+  }
+  for (const Source& source : sources) {
+    ASSERT_TRUE(fs->Delete(source.path).ok());
+  }
+  fs->block_cache()->Clear();
+  ASSERT_TRUE(fs->LoadImage(image).ok());
+  std::remove(image.c_str());
+
+  for (const Source& source : sources) {
+    for (size_t i = 0; i < source.written.size(); ++i) {
+      ASSERT_EQ(source.batch.StringAt(i).ToString(), source.written[i])
+          << source.path << " row " << i;
     }
   }
 }

@@ -81,15 +81,16 @@ TEST(BlockCacheTest, MetricsCountHitsMissesAndBytes) {
   MetricsRegistry metrics;
   BlockCache cache(1 << 20, &metrics);
   cache.Insert(5, 0, Bytes(64, 'z'));
-  EXPECT_EQ(cache.Lookup(9, 0), nullptr);  // miss
-  EXPECT_NE(cache.Lookup(5, 0), nullptr);  // hit
+  EXPECT_EQ(cache.Lookup(9, 0, 16), nullptr);  // miss
+  EXPECT_NE(cache.Lookup(5, 0, 16), nullptr);  // hit serving 16 bytes
   // Contains is a metrics-free probe.
   EXPECT_TRUE(cache.Contains(5, 0));
   EXPECT_FALSE(cache.Contains(9, 0));
   MetricsSnapshot snap = metrics.Snapshot();
   EXPECT_EQ(snap.counters.at("hdfs.cache.hits"), 1u);
   EXPECT_EQ(snap.counters.at("hdfs.cache.misses"), 1u);
-  EXPECT_EQ(snap.counters.at("hdfs.cache.hit_bytes"), 64u);
+  // hit_bytes counts what hits served, not the blocks they found.
+  EXPECT_EQ(snap.counters.at("hdfs.cache.hit_bytes"), 16u);
 }
 
 // ---- FileReader read-through and invalidation -----------------------------
@@ -146,6 +147,7 @@ TEST(CacheReadThroughTest, SecondReadHitsWithoutIoCharge) {
   EXPECT_EQ(ReadAll(fs.get(), "/f", context), payload);
   MetricsSnapshot snap = metrics.Snapshot();
   EXPECT_EQ(snap.counters.at("hdfs.cache.hits"), 4u);
+  EXPECT_EQ(snap.counters.at("hdfs.cache.hit_bytes"), payload.size());
   // A memory hit has no simulated I/O cost: nothing is charged.
   EXPECT_GT(cold.local_bytes + cold.remote_bytes, 0u);
   EXPECT_EQ(warm.local_bytes + warm.remote_bytes, 0u);
@@ -259,25 +261,27 @@ TEST(CacheReadThroughTest, RenameIsMetadataOnlyAndKeepsCacheWarm) {
 }
 
 TEST(CacheReadThroughTest, BufferedReaderServesViewsAcrossBlockBoundaries) {
-  // Stream the file through BufferedReader twice; the second pass runs in
-  // pinned zero-copy mode and must yield identical bytes, including
-  // values straddling cached-block boundaries.
+  // Stream the file through BufferedReader twice, with the cache off and
+  // on (the second pass then runs warm): every pass must yield identical
+  // bytes, including values straddling block boundaries.
   const std::string payload = Payload(4096 + 700);
-  auto fs = MakeFs("/f", payload);
-  fs->EnsureBlockCache(1 << 20, nullptr);
-  for (int pass = 0; pass < 2; ++pass) {
-    ReadContext context{0, nullptr};
-    std::unique_ptr<FileReader> file;
-    ASSERT_TRUE(fs->Open("/f", context, &file).ok());
-    BufferedReader reader(std::move(file), 256);
-    std::string got, chunk;
-    // Odd chunk size so reads straddle both buffer and block boundaries.
-    while (!reader.AtEnd()) {
-      size_t n = std::min<uint64_t>(331, reader.Remaining());
-      ASSERT_TRUE(reader.ReadBytes(n, &chunk).ok());
-      got += chunk;
+  for (const bool cache : {false, true}) {
+    auto fs = MakeFs("/f", payload);
+    if (cache) fs->EnsureBlockCache(1 << 20, nullptr);
+    for (int pass = 0; pass < 2; ++pass) {
+      ReadContext context{0, nullptr};
+      std::unique_ptr<FileReader> file;
+      ASSERT_TRUE(fs->Open("/f", context, &file).ok());
+      BufferedReader reader(std::move(file), 256);
+      std::string got, chunk;
+      // Odd chunk size so reads straddle both buffer and block boundaries.
+      while (!reader.AtEnd()) {
+        size_t n = std::min<uint64_t>(331, reader.Remaining());
+        ASSERT_TRUE(reader.ReadBytes(n, &chunk).ok());
+        got += chunk;
+      }
+      EXPECT_EQ(got, payload) << "cache " << cache << " pass " << pass;
     }
-    EXPECT_EQ(got, payload) << "pass " << pass;
   }
 }
 

@@ -4,10 +4,12 @@
 #include <set>
 
 #include "common/coding.h"
+#include "hdfs/block_cache.h"
 #include "hdfs/cost_model.h"
 #include "hdfs/mini_hdfs.h"
 #include "hdfs/placement.h"
 #include "hdfs/reader.h"
+#include "obs/metrics.h"
 
 namespace colmr {
 namespace {
@@ -271,6 +273,100 @@ TEST(ReadAccountingTest, LocalVsRemoteBytes) {
   ASSERT_TRUE(reader->Read(0, 2048, &out).ok());
   EXPECT_EQ(remote_stats.local_bytes, 0u);
   EXPECT_EQ(remote_stats.remote_bytes, 2048u);
+}
+
+// What one fixed BufferedReader script charges: the accounting a fill,
+// a read-through skip, a seek and a jump must keep whatever the reader's
+// window is made of.
+struct ScriptCharges {
+  IoStats io;
+  uint64_t read_ops = 0;
+  uint64_t read_bytes = 0;
+};
+
+ScriptCharges ReplayAccountingScript(MiniHdfs* fs, NodeId node) {
+  const std::string payload = Pattern(3000);  // blocks of 1024, 1024, 952
+  MetricsRegistry metrics;
+  ScriptCharges charges;
+  ReadContext context{node, &charges.io};
+  context.metrics = &metrics;
+  std::unique_ptr<FileReader> raw;
+  EXPECT_TRUE(fs->Open("/f", context, &raw).ok());
+  BufferedReader reader(std::move(raw), 256);
+  Slice view;
+  const auto expect_at = [&](uint64_t offset, size_t n) {
+    ASSERT_TRUE(reader.Peek(n, &view).ok());
+    ASSERT_GE(view.size(), n);
+    EXPECT_EQ(view.ToString(), payload.substr(offset, view.size()));
+  };
+  // Sequential peeks that leave tails, the last across a block boundary.
+  expect_at(0, 10);
+  reader.Consume(200);
+  expect_at(200, 100);
+  reader.Consume(300);
+  expect_at(500, 300);
+  reader.Consume(290);
+  expect_at(790, 300);
+  reader.Consume(295);
+  // A short skip reads through; a long one seeks.
+  EXPECT_TRUE(reader.Skip(400).ok());
+  expect_at(1485, 1);
+  EXPECT_TRUE(reader.Skip(1000).ok());
+  expect_at(2485, 50);
+  reader.Consume(50);
+  // A backward seek, then a fill across the second block boundary.
+  EXPECT_TRUE(reader.Seek(2000).ok());
+  expect_at(2000, 8);
+  reader.Consume(8);
+  // A jump past the window is free only from the cache; inside the
+  // window it always is.
+  const bool jumped = reader.TryJump(2900);
+  if (jumped) expect_at(2900, 1);
+  EXPECT_TRUE(reader.TryJump(reader.position() + 4));
+  const uint64_t at = reader.position();
+  expect_at(at, 3000 - at);
+  MetricsSnapshot snap = metrics.Snapshot();
+  charges.read_ops = snap.counters["hdfs.read.ops"];
+  charges.read_bytes = snap.histograms["hdfs.read.bytes"].sum;
+  return charges;
+}
+
+TEST(ReadAccountingTest, BufferedScriptChargesArePinned) {
+  auto fs = MakeFs();
+  std::unique_ptr<FileWriter> writer;
+  ASSERT_TRUE(fs->Create("/f", &writer).ok());
+  writer->Append(Pattern(3000));
+  ASSERT_TRUE(writer->Close().ok());
+  std::vector<BlockInfo> blocks;
+  ASSERT_TRUE(fs->GetBlockLocations("/f", &blocks).ok());
+  ASSERT_EQ(blocks.size(), 3u);
+  // Read from a node holding the first block: later blocks may be remote.
+  const NodeId node = blocks[0].replicas[0];
+
+  // Literal values: a change in what a fill, a read-through skip, a seek
+  // or a jump charges fails here.
+  const ScriptCharges uncached = ReplayAccountingScript(fs.get(), node);
+  EXPECT_EQ(uncached.io.local_bytes, 1650u);
+  EXPECT_EQ(uncached.io.remote_bytes, 1208u);
+  EXPECT_EQ(uncached.io.reads, 9u);
+  EXPECT_EQ(uncached.io.seeks, 3u);
+  EXPECT_EQ(uncached.read_ops, 9u);
+  EXPECT_EQ(uncached.read_bytes, 2858u);
+
+  // The same script over a warm cache. Hits charge no bytes; a fill of
+  // an empty window served by one cached block is a memory hit, stops at
+  // the block's end and charges no IoStats read.
+  fs->EnsureBlockCache(1 << 20, nullptr);
+  std::unique_ptr<FileReader> warm;
+  ASSERT_TRUE(fs->Open("/f", ReadContext{}, &warm).ok());
+  std::string all;
+  ASSERT_TRUE(warm->Read(0, warm->size(), &all).ok());
+  const ScriptCharges cached = ReplayAccountingScript(fs.get(), node);
+  EXPECT_EQ(cached.io.local_bytes + cached.io.remote_bytes, 0u);
+  EXPECT_EQ(cached.io.reads, 5u);
+  EXPECT_EQ(cached.io.seeks, 3u);
+  EXPECT_EQ(cached.read_ops, 9u);
+  EXPECT_EQ(cached.read_bytes, 2006u);
 }
 
 TEST(BufferedReaderTest, SequentialPeekConsume) {

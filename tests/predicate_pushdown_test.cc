@@ -336,6 +336,27 @@ TEST(ColumnStatsTest, AllFFPrefixDropsMaxOnly) {
   EXPECT_FALSE(stats.groups[0].has_max);  // no byte of the prefix can bump
 }
 
+// Stats are advisory about the bytes, not about the reads: a footer read
+// that fails on every replica surfaces, so the map task retries instead
+// of silently scanning unpruned. A missing file still means no stats.
+TEST(ColumnStatsTest, FooterReadErrorSurfaces) {
+  auto fs = MakeFs();
+  ASSERT_TRUE(WriteInt64Column(fs.get(), "/c.col", {1, 2, 3}).ok());
+  FaultConfig faults;
+  faults.read_error_p = 1.0;
+  fs->SetFaultConfig(faults);
+  ColumnFileStats stats;
+  bool present = true;
+  Status s = ReadColumnStats(fs.get(), "/c.col", ReadContext{}, &stats,
+                             &present);
+  EXPECT_TRUE(s.IsIoError()) << s.ToString();
+  EXPECT_FALSE(present);
+  ASSERT_TRUE(ReadColumnStats(fs.get(), "/missing.col", ReadContext{},
+                              &stats, &present)
+                  .ok());
+  EXPECT_FALSE(present);
+}
+
 TEST(ColumnStatsTest, PreStatsFileReadsFineAndReportsNoStats) {
   auto fs = MakeFs();
   std::vector<int64_t> values;
