@@ -3,15 +3,18 @@
 // and incompressible binary. Shows the ratio-vs-decompression-CPU
 // trade-off the paper exploits: Zlite compresses tighter, Lzf decompresses
 // several times faster — and dictionary coding of map keys beats both on
-// access cost.
+// access cost. Also times the block CRC every first read of a block pays.
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/datasets.h"
 #include "common/buffer.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "compress/codec.h"
 #include "compress/dictionary.h"
@@ -116,6 +119,32 @@ void BM_DictionaryLookup(benchmark::State& state) {
 }
 
 BENCHMARK(BM_DictionaryLookup);
+
+// Block CRC (DESIGN.md §7). One 4 MiB block folded again and again stays
+// in cache; 64 MiB of distinct 4 MiB blocks, folded in turn, come from
+// DRAM, as a job's first read of each block does.
+void BM_Crc32(benchmark::State& state) {
+  constexpr size_t kBlockBytes = 4 << 20;
+  const size_t n_blocks = static_cast<size_t>(state.range(0)) / kBlockBytes;
+  Random rng(bench::kDatasetSeed + 11);
+  std::vector<std::string> blocks(n_blocks, std::string(kBlockBytes, '\0'));
+  for (std::string& block : blocks) {
+    for (size_t i = 0; i < kBlockBytes; i += 8) {
+      const uint64_t word = rng.Next();
+      memcpy(&block[i], &word, 8);
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(Slice(blocks[next])));
+    next = next + 1 == n_blocks ? 0 : next + 1;
+  }
+  state.SetBytesProcessed(state.iterations() * kBlockBytes);
+  state.SetLabel(n_blocks == 1 ? "one block (in cache)"
+                               : "distinct blocks (DRAM)");
+}
+
+BENCHMARK(BM_Crc32)->Arg(4 << 20)->Arg(64 << 20);
 
 // Forwards to the console output while mirroring every run into the
 // BENCH_codecs.json report (google-benchmark's own JSON reporter can't

@@ -13,25 +13,52 @@ namespace colmr {
 
 namespace {
 
-/// Runs `decode` over a peeked window, growing the window while the
-/// failure could be truncation. On success consumes the decoded bytes.
-template <typename DecodeFn>
-Status DecodeWithRetry(BufferedReader* input, DecodeFn decode) {
-  size_t window = 4096;
-  for (;;) {
-    Slice view;
-    COLMR_RETURN_IF_ERROR(input->Peek(window, &view));
-    Slice cursor = view;
-    Status s = decode(&cursor);
-    if (s.ok()) {
-      input->Consume(cursor.data() - view.data());
-      return Status::OK();
+/// A value is walked or decoded with at least this many bytes in view
+/// (or the rest of the file); a window that holds less refills first.
+constexpr size_t kPeekBytes = 4096;
+
+/// Walks up to n encoded values of a column without materializing them,
+/// walking a value only while `min_ahead` bytes from its start are in
+/// view. A DCSL map is a varint entry count, then a varint dictionary id
+/// and the value per entry; string entries take a tight (count, id,
+/// length) loop without a SkipValue call per entry, which cut
+/// crawl-distinct's job time by about 12% (DESIGN.md §10). On failure
+/// the cursor rests on the failing value's first byte and *walked holds
+/// the values passed before it. A value counts in tally->skipped only
+/// once it completes (a DCSL map counts its entries), so a value that
+/// straddles a window edge and is walked again on the retry counts once.
+Status WalkValues(const Schema& type, bool dcsl, Slice* cursor, uint64_t n,
+                  size_t min_ahead, uint64_t* walked, SerdeTally* tally) {
+  const Schema& element = dcsl ? *type.element() : type;
+  const bool strings = element.kind() == TypeKind::kString ||
+                       element.kind() == TypeKind::kBytes;
+  for (*walked = 0; *walked < n && cursor->size() >= min_ahead; ++*walked) {
+    const Slice start = *cursor;
+    Status s;
+    if (!dcsl) {
+      s = SkipValue(type, cursor, tally);
+    } else {
+      uint64_t count = 0;
+      s = GetVarint64(cursor, &count);
+      for (uint64_t i = 0; s.ok() && i < count; ++i) {
+        uint64_t id = 0;
+        s = GetVarint64(cursor, &id);
+        if (!s.ok()) break;
+        if (strings) {
+          Slice bytes;
+          s = GetLengthPrefixed(cursor, &bytes);
+        } else {
+          s = SkipValue(element, cursor, nullptr);
+        }
+      }
+      if (s.ok()) tally->skipped.Add(count);
     }
-    if (!s.IsCorruption() || view.size() >= input->Remaining()) {
+    if (!s.ok()) {
+      *cursor = start;
       return s;
     }
-    window *= 2;
   }
+  return Status::OK();
 }
 
 }  // namespace
@@ -192,122 +219,100 @@ Status ColumnFileReader::DecompressBlock(uint64_t n_records,
   return Status::OK();
 }
 
-Status ColumnFileReader::SkipOneValue() {
-  switch (layout_) {
-    case ColumnLayout::kDictSkipList:
-      return DecodeWithRetry(input_.get(), [&](Slice* cursor) -> Status {
-        uint64_t count;
-        COLMR_RETURN_IF_ERROR(GetVarint64(cursor, &count));
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t id;
-          COLMR_RETURN_IF_ERROR(GetVarint64(cursor, &id));
-          COLMR_RETURN_IF_ERROR(
-              SkipValue(*type_->element(), cursor, &serde_));
-        }
-        return Status::OK();
-      });
-    default:
-      return DecodeWithRetry(input_.get(), [&](Slice* cursor) {
-        return SkipValue(*type_, cursor, &serde_);
-      });
-  }
-}
-
-Status ColumnFileReader::DecodeSegmentBatch(uint64_t count,
-                                            ColumnBatch* batch) {
+template <typename StepFn>
+Status ColumnFileReader::WalkWindows(uint64_t count, StepFn step) {
   uint64_t left = count;
-  size_t window = 4096;
+  size_t window = kPeekBytes;
   while (left > 0) {
     Slice view;
     COLMR_RETURN_IF_ERROR(input_->Peek(window, &view));
     Slice cursor = view;
-    size_t got = 0;
-    Status s = DecodeColumnBatch(*type_, &cursor, left, batch, &got);
-    // Strings are slices into the window: the batch pins its bytes.
-    if (got > 0) batch->AddKeepalive(input_->PinnedWindow());
+    uint64_t done = 0;
+    const Status s = step(&cursor, left, &done);
     const size_t consumed = cursor.data() - view.data();
     const size_t view_left = view.size() - consumed;
     input_->Consume(consumed);
-    current_row_ += got;
-    left -= got;
-    m_values_read_.Add(got);
+    current_row_ += done;
+    left -= done;
+    if (done > 0) window = kPeekBytes;
     if (s.ok()) continue;
-    // Same truncation-vs-corruption test as DecodeWithRetry: grow the
-    // window while the failure could be a value straddling its edge. The
-    // failing value saw view_left bytes; only if that already covered
-    // everything left in the file is the error real.
+    // Grow the window while the failure could be a value straddling its
+    // edge. The failing value saw view_left bytes; only if that already
+    // covered everything left in the file is the error real.
     if (!s.IsCorruption() || view_left >= input_->Remaining()) {
       return s;
     }
-    if (got == 0) window *= 2;
+    if (done == 0) window *= 2;
   }
+  return Status::OK();
+}
+
+Status ColumnFileReader::DecodeSegmentBatch(uint64_t count,
+                                            ColumnBatch* batch) {
+  return WalkWindows(count, [&](Slice* cursor, uint64_t n, uint64_t* done) {
+    size_t got = 0;
+    const Status s =
+        DecodeColumnBatch(*type_, cursor, n, batch, &got, &serde_);
+    // Strings are slices into the window: the batch pins its bytes.
+    if (got > 0) batch->AddKeepalive(input_->PinnedWindow());
+    m_values_read_.Add(got);
+    *done = got;
+    return s;
+  });
+}
+
+Status ColumnFileReader::DecodeDcslMap(Slice* cursor, Value* out) {
+  uint64_t n_entries = 0;
+  COLMR_RETURN_IF_ERROR(GetVarint64(cursor, &n_entries));
+  COLMR_RETURN_IF_ERROR(CheckContainerCount(n_entries, cursor->size()));
+  Value::MapEntries* entries = out->AssignMap();
+  entries->resize(n_entries);
+  for (auto& [key, value] : *entries) {
+    uint64_t id = 0;
+    COLMR_RETURN_IF_ERROR(GetVarint64(cursor, &id));
+    if (id >= dict_.size()) {
+      return Status::Corruption("cif column: dictionary id out of range");
+    }
+    key.assign(dict_.Lookup(static_cast<uint32_t>(id)));
+    COLMR_RETURN_IF_ERROR(
+        DecodeValue(*type_->element(), cursor, &value, nullptr));
+  }
+  serde_.decoded.Add(n_entries);
   return Status::OK();
 }
 
 Status ColumnFileReader::DecodeDcslSegmentBatch(uint64_t count,
                                                 ColumnBatch* batch) {
-  uint64_t left = count;
-  size_t window = 4096;
-  while (left > 0) {
-    Slice view;
-    COLMR_RETURN_IF_ERROR(input_->Peek(window, &view));
-    Slice cursor = view;
-    size_t got = 0;
+  return WalkWindows(count, [&](Slice* cursor, uint64_t n, uint64_t* done) {
     Status s;
-    while (got < left) {
-      const Slice value_start = cursor;
-      uint64_t n_entries = 0;
-      s = GetVarint64(&cursor, &n_entries);
-      if (s.ok()) s = CheckContainerCount(n_entries, cursor.size());
-      Value::MapEntries entries;
-      if (s.ok()) {
-        dcsl_ids_.clear();
-        entries.reserve(n_entries);
-        for (uint64_t i = 0; i < n_entries && s.ok(); ++i) {
-          uint64_t id = 0;
-          s = GetVarint64(&cursor, &id);
-          if (s.ok() && id >= dict_.size()) {
-            s = Status::Corruption("cif column: dictionary id out of range");
-          }
-          if (!s.ok()) break;
-          dcsl_ids_.push_back(id);
-          Value v;
-          s = DecodeValue(*type_->element(), &cursor, &v, &serde_);
-          if (!s.ok()) break;
-          entries.emplace_back(std::string(), std::move(v));
-        }
-      }
-      if (s.ok()) {
-        // Bulk id resolution: one pass over the collected ids.
-        dcsl_keys_.resize(dcsl_ids_.size());
-        s = dict_.LookupBulk(dcsl_ids_.data(), dcsl_ids_.size(),
-                             dcsl_keys_.data());
-        if (s.ok()) {
-          for (size_t i = 0; i < entries.size(); ++i) {
-            entries[i].first = *dcsl_keys_[i];
-          }
-        }
-      }
+    for (*done = 0; *done < n; ++*done) {
+      const Slice start = *cursor;
+      s = DecodeDcslMap(cursor, batch->PendingBoxed());
       if (!s.ok()) {
-        cursor = value_start;
+        *cursor = start;
         break;
       }
-      batch->AppendBoxed(Value::Map(std::move(entries)));
-      ++got;
+      batch->CommitBoxed();
     }
-    const size_t consumed = cursor.data() - view.data();
-    const size_t view_left = view.size() - consumed;
-    input_->Consume(consumed);
-    current_row_ += got;
-    left -= got;
-    m_values_read_.Add(got);
-    if (s.ok()) continue;
-    if (!s.IsCorruption() || view_left >= input_->Remaining()) {
-      return s;
-    }
-    if (got == 0) window *= 2;
-  }
-  return Status::OK();
+    m_values_read_.Add(*done);
+    return s;
+  });
+}
+
+Status ColumnFileReader::SkipSegment(uint64_t count) {
+  const bool dcsl = layout_ == ColumnLayout::kDictSkipList;
+  return WalkWindows(count, [&](Slice* cursor, uint64_t n, uint64_t* done) {
+    // Each value is walked with kPeekBytes in view, as a one-value peek
+    // would have it, so the window refills at the offsets per-value
+    // skipping refilled at, and the skip blocks after a walk seek or read
+    // through exactly as before.
+    const size_t min_ahead =
+        cursor->size() < input_->Remaining() ? kPeekBytes : 0;
+    const Status s =
+        WalkValues(*type_, dcsl, cursor, n, min_ahead, done, &serde_);
+    m_values_skipped_.Add(*done);
+    return s;
+  });
 }
 
 Status ColumnFileReader::NextBatch(uint64_t n, ColumnBatch* batch) {
@@ -370,7 +375,7 @@ Status ColumnFileReader::DecodeBatch(uint64_t n, ColumnBatch* batch) {
         // The block is fully resident and decompressed, so any decode
         // failure is real corruption, never truncation — no retry.
         Status s = DecodeColumnBatch(*type_, &block_cursor_, seg, batch,
-                                     &got);
+                                     &got, &serde_);
         if (got > 0) batch->AddKeepalive(block_);
         current_row_ += got;
         block_rows_left_ -= got;
@@ -393,15 +398,16 @@ Status ColumnFileReader::Skip(uint64_t n) {
     while (n > 0) {
       if (block_loaded_) {
         // Drain or finish the current (already decompressed) block.
-        const uint64_t take = std::min(n, block_rows_left_);
-        for (uint64_t i = 0; i < take; ++i) {
-          COLMR_RETURN_IF_ERROR(SkipValue(*type_, &block_cursor_, &serde_));
-        }
-        m_values_skipped_.Add(take);
-        block_rows_left_ -= take;
+        uint64_t walked = 0;
+        const Status s =
+            WalkValues(*type_, false, &block_cursor_,
+                       std::min(n, block_rows_left_), 0, &walked, &serde_);
+        m_values_skipped_.Add(walked);
+        block_rows_left_ -= walked;
+        current_row_ += walked;
+        n -= walked;
+        COLMR_RETURN_IF_ERROR(s);
         if (block_rows_left_ == 0) block_loaded_ = false;
-        current_row_ += take;
-        n -= take;
         continue;
       }
       // At a block header: skip whole blocks without decompressing —
@@ -460,17 +466,20 @@ Status ColumnFileReader::Skip(uint64_t n) {
         continue;
       }
     }
-    // Value-by-value: decode lengths but do not materialize (this is all
-    // a plain column can do — "each record is skipped individually,
-    // resulting in no deserialization or I/O savings").
+    // Walk the values up to the next skip-list boundary (a plain column:
+    // all of them), decoding lengths without materializing — all a plain
+    // column can do: "each record is skipped individually, resulting in
+    // no deserialization or I/O savings".
+    uint64_t walk = n;
     if (has_skip_list) {
       COLMR_RETURN_IF_ERROR(ConsumeBoundary());
+      walk = std::min(n, kCifSkip0 - current_row_ % kCifSkip0);
     }
-    COLMR_RETURN_IF_ERROR(SkipOneValue());
-    m_values_skipped_.Add();
-    ++current_row_;
+    const uint64_t from = current_row_;
+    const Status s = SkipSegment(walk);
+    n -= current_row_ - from;
     if (current_row_ % kCifSkip0 == 0) boundary_done_ = false;
-    --n;
+    COLMR_RETURN_IF_ERROR(s);
   }
   return Status::OK();
 }

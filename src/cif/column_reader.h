@@ -21,9 +21,9 @@ namespace colmr {
 /// cursor over rows: NextBatch(n) decodes the next n values and advances —
 /// one-row batches included, the only decode path; SkipRows(n) advances
 /// without materializing — through skip blocks, whole compressed blocks,
-/// or value-by-value byte skipping, depending on the layout. This is the
-/// skip() primitive LazyRecord calls as skip(curPos - lastPos) (paper
-/// Section 5.2).
+/// or a windowed walk over the values' bytes, depending on the layout.
+/// This is the skip() primitive LazyRecord calls as skip(curPos - lastPos)
+/// (paper Section 5.2).
 class ColumnFileReader {
  public:
   static Status Open(MiniHdfs* fs, const std::string& path,
@@ -80,12 +80,19 @@ class ColumnFileReader {
   Status LoadBlock();
   /// Block layout: decompresses the block whose header was just read.
   Status DecompressBlock(uint64_t n_records, uint64_t compressed_len);
-  Status SkipOneValue();
-  /// Batch helpers: windowed decode of `count` rows into *batch for the
-  /// uncompressed layouts (plain segment / skip-list segment / DCSL
-  /// segment respectively).
+  /// Uncompressed layouts: runs `step(&cursor, left, &done)` over peeked
+  /// windows until `count` rows are done, consuming the bytes each step
+  /// passes and advancing the row cursor. A failure that could be a
+  /// value straddling the window's edge retries over a grown window.
+  template <typename StepFn>
+  Status WalkWindows(uint64_t count, StepFn step);
+  /// Windowed decode of `count` rows into *batch (plain and skip-list
+  /// segments / DCSL segments), and windowed skip of `count` rows.
   Status DecodeSegmentBatch(uint64_t count, ColumnBatch* batch);
   Status DecodeDcslSegmentBatch(uint64_t count, ColumnBatch* batch);
+  Status SkipSegment(uint64_t count);
+  /// Decodes one DCSL map into *out, reusing its storage.
+  Status DecodeDcslMap(Slice* cursor, Value* out);
 
   std::unique_ptr<BufferedReader> input_;
   Schema::Ptr type_;
@@ -110,20 +117,15 @@ class ColumnFileReader {
   Slice block_cursor_;
   uint64_t block_rows_left_ = 0;
 
-  // Batch-path scratch (DCSL): reused across maps so the steady state
-  // allocates nothing.
-  std::vector<uint64_t> dcsl_ids_;
-  std::vector<const std::string*> dcsl_keys_;
-
   // Span sink for NextBatch (nullptr = tracing off).
   TraceCollector* trace_ = nullptr;
 
   // Tallies of the cif.scan.* counters, resolved once at Open from the
   // ReadContext registry (the Figure 10 "skip blocks skipped / bytes not
-  // read" counters live here), and of the serde.* values this reader
-  // decodes and skips. Every map thread shares those counters, so the
-  // per-value paths count here and each SkipRows / NextBatch call
-  // publishes once (DESIGN.md §8).
+  // read" counters live here), and of the serde.* values and batches this
+  // reader decodes and skips. Every map thread shares those counters, so
+  // the per-value and per-segment paths count here and each SkipRows /
+  // NextBatch call publishes once (DESIGN.md §8).
   CounterTally m_values_read_;
   CounterTally m_values_skipped_;
   CounterTally m_rows_skipped_;

@@ -121,17 +121,6 @@ Status GetDouble(Slice* input, double* value) {
   return Status::OK();
 }
 
-Status GetLengthPrefixed(Slice* input, Slice* value) {
-  uint64_t len = 0;
-  COLMR_RETURN_IF_ERROR(GetVarint64(input, &len));
-  if (input->size() < len) {
-    return Status::Corruption("truncated length-prefixed bytes");
-  }
-  *value = input->Prefix(len);
-  input->RemovePrefix(len);
-  return Status::OK();
-}
-
 Status DecodeVarint64Batch(Slice* input, size_t n, uint64_t* out,
                            size_t* decoded) {
   const char* const base = input->data();

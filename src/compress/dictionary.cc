@@ -18,18 +18,6 @@ int64_t StringDictionary::Find(Slice s) const {
   return it == index_.end() ? -1 : static_cast<int64_t>(it->second);
 }
 
-Status StringDictionary::LookupBulk(const uint64_t* ids, size_t n,
-                                    const std::string** out) const {
-  const size_t limit = entries_.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (ids[i] >= limit) {
-      return Status::Corruption("dictionary id out of range");
-    }
-    out[i] = &entries_[ids[i]];
-  }
-  return Status::OK();
-}
-
 void StringDictionary::Serialize(Buffer* out) const {
   PutVarint64(out, entries_.size());
   for (const std::string& e : entries_) {

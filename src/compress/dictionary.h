@@ -33,12 +33,6 @@ class StringDictionary {
   /// Returns the string for an id; id must be < size().
   const std::string& Lookup(uint32_t id) const { return entries_[id]; }
 
-  /// Bulk id resolution for the batch decode path: validates all n ids,
-  /// then writes a pointer to each entry. One range check per id, no
-  /// per-call branching in the caller's assembly loop.
-  Status LookupBulk(const uint64_t* ids, size_t n,
-                    const std::string** out) const;
-
   size_t size() const { return entries_.size(); }
 
   /// Appends the serialized dictionary: varint count, then

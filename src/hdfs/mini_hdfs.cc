@@ -775,6 +775,7 @@ uint32_t ServedCrc(const std::string& data, bool corrupted) {
 }  // namespace
 
 Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
+                             bool probe_cache,
                              std::shared_ptr<const std::string>* data) const {
   if (context_.cancel != nullptr &&
       context_.cancel->load(std::memory_order_relaxed)) {
@@ -790,7 +791,7 @@ Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
   // Entries only ever hold bytes that passed the CRC check below under
   // the same (id, generation), so a registered-corrupt replica can never
   // be behind a hit (CorruptReplica bumps the generation and erases).
-  if (cache_ != nullptr) {
+  if (cache_ != nullptr && probe_cache) {
     if (std::shared_ptr<const std::string> cached =
             cache_->Lookup(block.info.id, block.info.generation, to - from)) {
       *data = std::move(cached);
@@ -901,8 +902,11 @@ Status FileReader::Read(uint64_t offset, size_t n, Slice* out,
   pin->reset();
   if (offset >= size_) return Status::OK();
   n = std::min<uint64_t>(n, size_ - offset);
+  // A fill probes the cache once: a miss here is not looked up again
+  // below.
+  bool probed = false;
   if (cached_min > 0 &&
-      ServeCached(offset, n, std::min(cached_min, n), out, pin)) {
+      ServeCached(offset, n, std::min(cached_min, n), out, pin, &probed)) {
     return Status::OK();
   }
 
@@ -923,18 +927,19 @@ Status FileReader::Read(uint64_t offset, size_t n, Slice* out,
   size_t index = BlockIndexOf(offset, &block_start);
   uint64_t from = offset - block_start;
   if (from + n <= blocks_[index].info.size) {
-    COLMR_RETURN_IF_ERROR(ReadBlock(blocks_[index], from, from + n, pin));
+    COLMR_RETURN_IF_ERROR(
+        ReadBlock(blocks_[index], from, from + n, !probed, pin));
     *out = Slice((*pin)->data() + from, n);
     return Status::OK();
   }
   // The range spans blocks: join their parts.
   auto joined = std::make_shared<std::string>();
   joined->reserve(n);
-  for (; joined->size() < n; ++index, from = 0) {
+  for (; joined->size() < n; ++index, from = 0, probed = false) {
     const uint64_t to = std::min<uint64_t>(blocks_[index].info.size,
                                            from + n - joined->size());
     std::shared_ptr<const std::string> data;
-    COLMR_RETURN_IF_ERROR(ReadBlock(blocks_[index], from, to, &data));
+    COLMR_RETURN_IF_ERROR(ReadBlock(blocks_[index], from, to, !probed, &data));
     joined->append(*data, from, to - from);
   }
   *out = Slice(*joined);
@@ -966,7 +971,9 @@ size_t FileReader::BlockIndexOf(uint64_t offset, uint64_t* block_start) const {
 
 bool FileReader::ServeCached(uint64_t offset, uint64_t n, uint64_t min_held,
                              Slice* out,
-                             std::shared_ptr<const std::string>* pin) const {
+                             std::shared_ptr<const std::string>* pin,
+                             bool* probed) const {
+  *probed = false;
   if (cache_ == nullptr) return false;
   uint64_t block_start = 0;
   const BlockRef& block = blocks_[BlockIndexOf(offset, &block_start)];
@@ -974,6 +981,7 @@ bool FileReader::ServeCached(uint64_t offset, uint64_t n, uint64_t min_held,
   const uint64_t held = block.info.size - in_block;
   if (held < min_held) return false;
   const uint64_t len = std::min(n, held);
+  *probed = true;
   std::shared_ptr<const std::string> cached =
       cache_->Lookup(block.info.id, block.info.generation, len);
   if (cached == nullptr) return false;
@@ -986,8 +994,9 @@ bool FileReader::ServeCached(uint64_t offset, uint64_t n, uint64_t min_held,
 
 bool FileReader::TryReadView(uint64_t offset, uint64_t max_len, Slice* view,
                              std::shared_ptr<const std::string>* pin) const {
+  bool probed = false;
   return offset < size_ && max_len > 0 &&
-         ServeCached(offset, max_len, 1, view, pin);
+         ServeCached(offset, max_len, 1, view, pin, &probed);
 }
 
 void FileReader::Prefetch(uint64_t offset) const {

@@ -465,14 +465,20 @@ class FileReader {
   /// Serves [from, to) of one block (offsets block-relative) from the
   /// cache or, with replica selection, checksum verification and
   /// failover, from a replica: *data is the block's bytes either way.
+  /// `probe_cache` false skips the cache lookup, for a block whose entry
+  /// the caller has just looked up and missed.
   Status ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
+                   bool probe_cache,
                    std::shared_ptr<const std::string>* data) const;
 
   /// Read's memory hit: serves [offset, offset + min(n, block rest)) from
   /// the cached block holding `offset` when that block holds at least
-  /// `min_held` bytes from it. offset < size().
+  /// `min_held` bytes from it. offset < size(). *probed says whether the
+  /// block's cache entry was looked up (it was, and missed, when this
+  /// returns false with *probed set).
   bool ServeCached(uint64_t offset, uint64_t n, uint64_t min_held,
-                   Slice* out, std::shared_ptr<const std::string>* pin) const;
+                   Slice* out, std::shared_ptr<const std::string>* pin,
+                   bool* probed) const;
 
   const MiniHdfs* fs_;
   std::string path_;

@@ -9,7 +9,6 @@ void ColumnBatch::Reset(TypeKind kind) {
   ints_.clear();
   doubles_.clear();
   strings_.clear();
-  boxed_.clear();
   nulls_.clear();
   keepalive_.clear();
 }

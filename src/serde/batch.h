@@ -32,7 +32,7 @@ class ColumnBatch {
   ColumnBatch& operator=(ColumnBatch&&) = default;
 
   /// Clears the batch for refilling with values of `kind`. Keeps lane
-  /// capacity.
+  /// capacity, and the boxed lane's Values for reuse (PendingBoxed).
   void Reset(TypeKind kind);
 
   TypeKind kind() const { return kind_; }
@@ -67,10 +67,16 @@ class ColumnBatch {
     strings_.push_back(s);
     ++size_;
   }
-  void AppendBoxed(Value v) {
-    boxed_.push_back(std::move(v));
-    ++size_;
+  /// The boxed lane keeps its Values across Reset, as Hadoop reuses its
+  /// Writables: the next row's slot is decoded in place, reusing whatever
+  /// storage an earlier batch left in it (a map's entry vector, a
+  /// string's buffer), and becomes row size() on CommitBoxed. A slot that
+  /// is never committed is scratch for the next decode.
+  Value* PendingBoxed() {
+    if (size_ >= boxed_.size()) boxed_.resize(size_ + 1);
+    return &boxed_[size_];
   }
+  void CommitBoxed() { ++size_; }
 
   /// Bulk appenders used by the decode kernels.
   void AppendInts(const int64_t* v, size_t n) {
@@ -119,7 +125,7 @@ class ColumnBatch {
   std::vector<int64_t> ints_;  // int32 and int64 lanes share int64 storage
   std::vector<double> doubles_;
   std::vector<Slice> strings_;  // into a keepalive pin
-  std::vector<Value> boxed_;    // array/map/record fallback lane
+  std::vector<Value> boxed_;    // array/map/record lane; rows [0, size_)
   std::vector<uint8_t> nulls_;  // bitmap, bit set = null
   std::vector<std::shared_ptr<const std::string>> keepalive_;
 };

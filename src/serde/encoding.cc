@@ -15,7 +15,8 @@ namespace {
 // readers and the shuffle, far from any per-job context.  The public
 // entry points count one event per top-level value and delegate to the
 // *Rec workers below, so container recursion costs no extra atomics.
-// Scan paths that run once per value count into a SerdeTally instead.
+// Scan paths that run once per value or per batch count into a
+// SerdeTally instead.
 Counter* SerdeCounter(const char* name) {
   return MetricsRegistry::Default().counter(name);
 }
@@ -27,6 +28,21 @@ Counter* DecodedValues() {
 
 Counter* SkippedValues() {
   static Counter* values = SerdeCounter("serde.skip.values");
+  return values;
+}
+
+Counter* DecodedBatches() {
+  static Counter* batches = SerdeCounter("serde.batch.decoded");
+  return batches;
+}
+
+Counter* BatchRows() {
+  static Counter* rows = SerdeCounter("serde.batch.rows");
+  return rows;
+}
+
+Counter* FallbackValues() {
+  static Counter* values = SerdeCounter("serde.batch.fallback_values");
   return values;
 }
 
@@ -128,10 +144,9 @@ Status DecodeValueRec(const Schema& schema, Slice* input, Value* out) {
     case TypeKind::kBytes: {
       Slice s;
       COLMR_RETURN_IF_ERROR(GetLengthPrefixed(input, &s));
-      std::string owned(s.data(), s.size());
-      *out = schema.kind() == TypeKind::kString
-                 ? Value::String(std::move(owned))
-                 : Value::Bytes(std::move(owned));
+      // Reuses the buffer of a string *out already holds: the batch scan
+      // decodes into reused slots.
+      out->AssignString(schema.kind(), s.ToStringView());
       return Status::OK();
     }
     case TypeKind::kArray: {
@@ -365,25 +380,29 @@ Status DecodeValue(const Schema& schema, Slice* input, Value* out) {
 }
 
 SerdeTally::SerdeTally()
-    : decoded(DecodedValues()), skipped(SkippedValues()) {}
+    : decoded(DecodedValues()),
+      skipped(SkippedValues()),
+      batches(DecodedBatches()),
+      batch_rows(BatchRows()),
+      fallback_values(FallbackValues()) {}
 
 Status DecodeValue(const Schema& schema, Slice* input, Value* out,
                    SerdeTally* tally) {
-  tally->decoded.Add();
-  return DecodeValueRec(schema, input, out);
+  COLMR_RETURN_IF_ERROR(DecodeValueRec(schema, input, out));
+  if (tally != nullptr) tally->decoded.Add();
+  return Status::OK();
 }
 
 Status SkipValue(const Schema& schema, Slice* input, SerdeTally* tally) {
-  tally->skipped.Add();
-  return SkipValueRec(schema, input);
+  COLMR_RETURN_IF_ERROR(SkipValueRec(schema, input));
+  if (tally != nullptr) tally->skipped.Add();
+  return Status::OK();
 }
 
 Status DecodeColumnBatch(const Schema& schema, Slice* input, size_t n,
-                         ColumnBatch* out, size_t* decoded) {
-  static Counter* batches = SerdeCounter("serde.batch.decoded");
-  static Counter* rows = SerdeCounter("serde.batch.rows");
-  static Counter* fallback = SerdeCounter("serde.batch.fallback_values");
-  batches->Increment();
+                         ColumnBatch* out, size_t* decoded,
+                         SerdeTally* tally) {
+  tally->batches.Add();
   *decoded = 0;
   switch (schema.kind()) {
     case TypeKind::kNull: {
@@ -471,26 +490,23 @@ Status DecodeColumnBatch(const Schema& schema, Slice* input, size_t n,
     case TypeKind::kArray:
     case TypeKind::kMap:
     case TypeKind::kRecord: {
-      SerdeTally tally;
       Status st;
       while (*decoded < n) {
         const Slice save = *input;
-        Value v;
-        st = DecodeValue(schema, input, &v, &tally);
+        st = DecodeValue(schema, input, out->PendingBoxed(), tally);
         if (!st.ok()) {
           *input = save;
           break;
         }
-        out->AppendBoxed(std::move(v));
+        out->CommitBoxed();
         ++*decoded;
       }
-      tally.Publish();
-      fallback->Increment(*decoded);
+      tally->fallback_values.Add(*decoded);
       if (!st.ok()) return st;
       break;
     }
   }
-  rows->Increment(*decoded);
+  tally->batch_rows.Add(*decoded);
   return Status::OK();
 }
 

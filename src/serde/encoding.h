@@ -30,29 +30,39 @@ Status EncodeValue(const Schema& schema, const Value& value, Buffer* dst);
 /// Decodes one value, consuming its bytes from *input.
 Status DecodeValue(const Schema& schema, Slice* input, Value* out);
 
-/// Plain tallies of the process-wide serde.decode.values and
-/// serde.skip.values counters, for scan paths that decode or skip once
-/// per value: they count here instead of in a counter every map thread
-/// shares, and the owner publishes once per call (DESIGN.md §8).
+/// Plain tallies of the process-wide serde.* counters a scan path bumps
+/// per value or per batch (serde.decode.values, serde.skip.values and
+/// serde.batch.{decoded,rows,fallback_values}): they count here instead of
+/// in a counter every map thread shares, and the owner publishes once per
+/// call (DESIGN.md §8).
 struct SerdeTally {
   SerdeTally();
   void Publish() {
     decoded.Publish();
     skipped.Publish();
+    batches.Publish();
+    batch_rows.Publish();
+    fallback_values.Publish();
   }
 
   CounterTally decoded;
   CounterTally skipped;
+  CounterTally batches;
+  CounterTally batch_rows;
+  CounterTally fallback_values;
 };
 
-/// DecodeValue, counted in *tally.
+/// DecodeValue, counted in *tally once the value completes. tally ==
+/// nullptr counts nothing, for callers that count whole containers
+/// themselves.
 Status DecodeValue(const Schema& schema, Slice* input, Value* out,
                    SerdeTally* tally);
 
 /// Advances *input past one encoded value without materializing it,
-/// counted in *tally. This is what skipping a record costs when a column
-/// file has no skip list (paper Section 5.2): cheaper than DecodeValue
-/// (no allocation), but still O(encoded size).
+/// counted in *tally once the value completes (nullptr: not counted).
+/// This is what skipping a record costs when a column file has no skip
+/// list (paper Section 5.2): cheaper than DecodeValue (no allocation),
+/// but still O(encoded size).
 Status SkipValue(const Schema& schema, Slice* input, SerdeTally* tally);
 
 /// Number of bytes the encoding of value occupies.
@@ -62,9 +72,9 @@ size_t EncodedSize(const Schema& schema, const Value& value);
 /// *out (which the caller has Reset to the matching kind), consuming their
 /// bytes from *input. Primitive kinds go to the typed lanes via the bulk
 /// kernels in common/coding.h; array/map/record values fall back to
-/// DecodeValue into the boxed lane, counted once per call. Strings are
-/// stored as slices into *input: the caller pins the bytes *input views
-/// into the batch (ColumnBatch::AddKeepalive).
+/// DecodeValue into the boxed lane's reused slots. Strings are stored as
+/// slices into *input: the caller pins the bytes *input views into the
+/// batch (ColumnBatch::AddKeepalive). Counts into *tally.
 ///
 /// On success *decoded == n. On failure the cursor is restored to the
 /// first byte of the failing value, *decoded holds the values appended
@@ -72,7 +82,8 @@ size_t EncodedSize(const Schema& schema, const Value& value);
 /// would have returned for that value — so callers can apply the same
 /// truncation-versus-corruption retry logic to either path.
 Status DecodeColumnBatch(const Schema& schema, Slice* input, size_t n,
-                         ColumnBatch* out, size_t* decoded);
+                         ColumnBatch* out, size_t* decoded,
+                         SerdeTally* tally);
 
 /// Decoder hardening: a container count read from untrusted bytes is
 /// rejected unless it is plausible for the bytes that remain (at most

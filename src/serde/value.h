@@ -85,6 +85,15 @@ class Value {
     kind_ = kind;
   }
 
+  /// Makes this a map and returns its entries for refilling in place. A
+  /// Value that already holds a map keeps its entry vector, and each
+  /// entry its strings' buffers, until the caller resizes them away.
+  MapEntries* AssignMap() {
+    if (!std::holds_alternative<MapEntries>(data_)) data_ = MapEntries();
+    kind_ = TypeKind::kMap;
+    return &std::get<MapEntries>(data_);
+  }
+
   TypeKind kind() const { return kind_; }
   bool is_null() const { return kind_ == TypeKind::kNull; }
 

@@ -163,8 +163,8 @@ TEST(BatchDecodeTest, AllTypesAllLayoutsMatchWrittenValues) {
   }
 }
 
-// Map columns under DCSL: dictionary-coded keys decode through the bulk
-// LookupBulk path; batch sizes straddle the 1000-row dictionary groups.
+// Map columns under DCSL: keys decode by dictionary id; batch sizes
+// straddle the 1000-row dictionary groups.
 TEST(BatchDecodeTest, DictSkipListMapsMatchWrittenValues) {
   const uint64_t kRows = 2500;
   auto fs = MakeFs(32);
@@ -177,6 +177,65 @@ TEST(BatchDecodeTest, DictSkipListMapsMatchWrittenValues) {
        {uint64_t{1}, uint64_t{500}, uint64_t{997}, uint64_t{1000},
         uint64_t{1500}, uint64_t{2600}}) {
     DifferentialScan(fs.get(), "/dcsl", *type, expected, batch_size);
+  }
+}
+
+// The boxed lane keeps its Values across batches, and each DCSL map
+// decodes into a slot an earlier map filled. Rows cycle through a wide map
+// (14 entries, long values), narrower maps with shorter values under
+// other keys, and an empty map, so every slot is refilled by a map of
+// another shape: none may keep an entry, a key or a value byte of the
+// map it held before.
+TEST(BatchDecodeTest, ReusedMapSlotsHoldNoStaleEntries) {
+  const uint64_t kRows = 1200;
+  auto fs = MakeFs(35);
+  Schema::Ptr type = Schema::Map(Schema::String());
+  ColumnOptions options;
+  options.layout = ColumnLayout::kDictSkipList;
+  std::unique_ptr<ColumnFileWriter> writer;
+  ASSERT_TRUE(
+      ColumnFileWriter::Create(fs.get(), "/maps", type, options, &writer)
+          .ok());
+  Random rng(35);
+  std::vector<Value> expected;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    Value::MapEntries entries;
+    const int shape = static_cast<int>(i % 4);
+    const int width = shape == 0 ? 14 : shape == 1 ? 5 : shape == 2 ? 1 : 0;
+    for (int k = 0; k < width; ++k) {
+      std::string value = shape == 0   ? rng.NextString(150, 250)
+                          : shape == 1 ? rng.NextString(3, 12)
+                                       : std::string();
+      entries.emplace_back("shape" + std::to_string(shape) + "-key" +
+                               std::to_string(k),
+                           Value::String(std::move(value)));
+    }
+    expected.push_back(Value::Map(std::move(entries)));
+    ASSERT_TRUE(writer->Append(expected.back()).ok());
+  }
+  ASSERT_TRUE(writer->Close().ok());
+
+  for (uint64_t batch_size : {uint64_t{1}, uint64_t{3}, uint64_t{4},
+                              uint64_t{7}, uint64_t{1024}}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    IoStats io;
+    std::unique_ptr<ColumnFileReader> reader;
+    ASSERT_TRUE(OpenColumn(fs.get(), "/maps", &io, &reader).ok());
+    ColumnBatch batch;
+    uint64_t row = 0;
+    while (row < kRows) {
+      ASSERT_TRUE(reader->NextBatch(batch_size, &batch).ok());
+      ASSERT_GT(batch.size(), 0u);
+      for (size_t i = 0; i < batch.size(); ++i, ++row) {
+        const Value& got = *batch.BoxedAt(i);
+        ASSERT_EQ(got.map_entries().size(),
+                  expected[row].map_entries().size())
+            << "row " << row;
+        ASSERT_EQ(Encoded(*type, got), Encoded(*type, expected[row]))
+            << "row " << row << ": batch=" << got.ToString()
+            << " written=" << expected[row].ToString();
+      }
+    }
   }
 }
 

@@ -87,87 +87,204 @@ TEST_P(ColumnLayoutTest, SequentialRoundTrip) {
   EXPECT_EQ(batch.size(), 0u);  // end of column: an empty batch
 }
 
+// A wide value for the skip walker's edges: strings of 300-900 bytes, or
+// DCSL-able maps of 10-14 entries of 30-60 bytes, so ten rows pass 4 KiB;
+// every 50th value alone passes 4 KiB.
+Value WideValue(int i, bool is_map, Random* rng) {
+  const bool huge = i % 50 == 7;
+  if (!is_map) {
+    return huge ? Value::String(rng->NextString(4200, 6000))
+                : Value::String(rng->NextString(300, 900));
+  }
+  Value::MapEntries entries;
+  const int n = 10 + static_cast<int>(rng->Uniform(5));
+  for (int k = 0; k < n; ++k) {
+    entries.emplace_back("key" + std::to_string((i + k) % 16),
+                         Value::String(huge ? rng->NextString(400, 420)
+                                            : rng->NextString(30, 60)));
+  }
+  return Value::Map(std::move(entries));
+}
+
+// What SkipRows met on a truncated copy of the wide column.
+struct TruncatedSkip {
+  std::string status;
+  uint64_t row = 0;
+  uint64_t values_skipped = 0;
+};
+
+// Writes the first `keep` bytes of `from` to `to`, then skips `step` rows
+// at a time over the copy until SkipRows fails or the rows run out.
+TruncatedSkip SkipTruncatedCopy(MiniHdfs* fs, const std::string& from,
+                                const std::string& to, uint64_t keep,
+                                uint64_t step) {
+  std::unique_ptr<FileReader> raw;
+  EXPECT_TRUE(fs->Open(from, ReadContext{}, &raw).ok());
+  std::string bytes;
+  EXPECT_TRUE(raw->Read(0, keep, &bytes).ok());
+  std::unique_ptr<FileWriter> writer;
+  EXPECT_TRUE(fs->Create(to, &writer).ok());
+  writer->Append(bytes);
+  EXPECT_TRUE(writer->Close().ok());
+  MetricsRegistry metrics;
+  std::unique_ptr<ColumnFileReader> reader;
+  EXPECT_TRUE(ColumnFileReader::Open(
+                  fs, to, ReadContext{kAnyNode, nullptr, 0, &metrics, nullptr},
+                  &reader)
+                  .ok());
+  Status s;
+  while (s.ok() && reader->current_row() < reader->row_count()) {
+    s = reader->SkipRows(step);
+  }
+  return {s.ToString(), reader->current_row(),
+          metrics.counter("cif.scan.values_skipped")->value()};
+}
+
 TEST_P(ColumnLayoutTest, RandomSkipPatternsMatchSequential) {
   // Property: any interleaving of SkipRows and one-row NextBatch observes
   // exactly the values a sequential scan would at those rows — walking
   // the skip lists, or jumping by the footer's rowgroup offsets. Walks
   // run uncached; jumps run once the block cache is attached, so every
-  // rowgroup-crossing skip can land in a cached block.
+  // rowgroup-crossing skip can land in a cached block. Narrow values fit
+  // many to a 4 KiB window. Wide ones, read through the default 128 KiB
+  // buffer, make walks cross window fills, values straddle window edges
+  // and the 1 KiB compressed blocks, and single values outgrow the
+  // walker's 4 KiB peek.
   const ColumnLayout layout = GetParam();
-  auto fs = MakeFs();
   const bool is_map = layout == ColumnLayout::kDictSkipList;
   Schema::Ptr type = is_map ? Schema::Map(Schema::String()) : Schema::String();
   ColumnOptions options;
   options.layout = layout;
   options.block_size = 1024;
 
-  std::unique_ptr<ColumnFileWriter> writer;
-  ASSERT_TRUE(
-      ColumnFileWriter::Create(fs.get(), "/c.col", type, options, &writer)
-          .ok());
-  Random rng(8);
-  const int kRows = 5000;
-  std::vector<Value> originals;
-  for (int i = 0; i < kRows; ++i) {
-    originals.push_back(is_map ? MapValue(i, &rng)
-                               : Value::String(rng.NextString(5, 30)));
-    ASSERT_TRUE(writer->Append(originals.back()).ok());
-  }
-  ASSERT_TRUE(writer->Close().ok());
-
-  ColumnFileStats footer;
-  bool present = false;
-  ASSERT_TRUE(
-      ReadColumnStats(fs.get(), "/c.col", ReadContext{}, &footer, &present)
-          .ok());
-  ASSERT_TRUE(present);
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const bool use_offsets = seed > 5;
-    SCOPED_TRACE(use_offsets ? "jump" : "walk");
-    if (use_offsets) fs->EnsureBlockCache(16 << 20, nullptr);
-    MetricsRegistry metrics;
-    std::unique_ptr<ColumnFileReader> reader;
-    ASSERT_TRUE(ColumnFileReader::Open(
-                    fs.get(), "/c.col",
-                    ReadContext{kAnyNode, nullptr, 0, &metrics, nullptr},
-                    &reader)
-                    .ok());
-    if (use_offsets) reader->UseRowgroupOffsets(footer);
-    Random skip_rng(seed);
-    uint64_t row = 0;
-    while (row < kRows) {
-      // Mixture of tiny, medium, and skip-list-sized jumps.
-      uint64_t jump;
-      switch (skip_rng.Uniform(4)) {
-        case 0:
-          jump = skip_rng.Uniform(3);
-          break;
-        case 1:
-          jump = 5 + skip_rng.Uniform(20);
-          break;
-        case 2:
-          jump = 80 + skip_rng.Uniform(200);
-          break;
-        default:
-          jump = 900 + skip_rng.Uniform(1500);
-          break;
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide" : "narrow");
+    ClusterConfig cluster = TestCluster();
+    if (wide) cluster.io_buffer_size = 128 * 1024;
+    auto fs = std::make_unique<MiniHdfs>(
+        cluster, std::make_unique<ColumnPlacementPolicy>(5));
+    std::unique_ptr<ColumnFileWriter> writer;
+    ASSERT_TRUE(
+        ColumnFileWriter::Create(fs.get(), "/c.col", type, options, &writer)
+            .ok());
+    Random rng(8);
+    const int kRows = wide ? 3000 : 5000;
+    std::vector<Value> originals;
+    for (int i = 0; i < kRows; ++i) {
+      if (wide) {
+        originals.push_back(WideValue(i, is_map, &rng));
+      } else {
+        originals.push_back(is_map ? MapValue(i, &rng)
+                                   : Value::String(rng.NextString(5, 30)));
       }
-      jump = std::min<uint64_t>(jump, kRows - row);
-      ASSERT_TRUE(reader->SkipRows(jump).ok());
-      row += jump;
-      if (row >= static_cast<uint64_t>(kRows)) break;
-      ColumnBatch batch;
-      ASSERT_TRUE(reader->NextBatch(1, &batch).ok()) << "row " << row;
-      ASSERT_EQ(batch.size(), 1u) << "row " << row;
-      Value v;
-      batch.MaterializeInto(0, &v);
-      EXPECT_EQ(v.Compare(originals[row]), 0) << "row " << row;
-      ++row;
+      ASSERT_TRUE(writer->Append(originals.back()).ok());
     }
-    // Compressed-block columns carry no offsets, so they always walk.
-    const bool has_offsets = layout != ColumnLayout::kCompressedBlocks;
-    EXPECT_EQ(metrics.counter("cif.scan.jumped_bytes")->value() > 0,
-              use_offsets && has_offsets);
+    ASSERT_TRUE(writer->Close().ok());
+
+    ColumnFileStats footer;
+    bool present = false;
+    ASSERT_TRUE(
+        ReadColumnStats(fs.get(), "/c.col", ReadContext{}, &footer, &present)
+            .ok());
+    ASSERT_TRUE(present);
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      const bool use_offsets = seed > 5;
+      SCOPED_TRACE(use_offsets ? "jump" : "walk");
+      if (use_offsets && seed == 6) {
+        fs->EnsureBlockCache(16 << 20, nullptr);
+        // Narrow jumps start cold, so misses that fall back to the walk
+        // mix with jumps that hit. From a cold cache no wide jump would
+        // hit (jumped_bytes stays 0): warm every block there, so each
+        // rowgroup-crossing skip can jump.
+        if (wide) {
+          std::unique_ptr<FileReader> warm;
+          ASSERT_TRUE(fs->Open("/c.col", ReadContext{}, &warm).ok());
+          std::string all;
+          ASSERT_TRUE(warm->Read(0, warm->size(), &all).ok());
+        }
+      }
+      MetricsRegistry metrics;
+      std::unique_ptr<ColumnFileReader> reader;
+      ASSERT_TRUE(ColumnFileReader::Open(
+                      fs.get(), "/c.col",
+                      ReadContext{kAnyNode, nullptr, 0, &metrics, nullptr},
+                      &reader)
+                      .ok());
+      if (use_offsets) reader->UseRowgroupOffsets(footer);
+      Random skip_rng(seed);
+      uint64_t row = 0;
+      while (row < static_cast<uint64_t>(kRows)) {
+        // Mixture of tiny, medium, and skip-list-sized jumps.
+        uint64_t jump;
+        switch (skip_rng.Uniform(4)) {
+          case 0:
+            jump = skip_rng.Uniform(3);
+            break;
+          case 1:
+            jump = 5 + skip_rng.Uniform(20);
+            break;
+          case 2:
+            jump = 80 + skip_rng.Uniform(200);
+            break;
+          default:
+            jump = 900 + skip_rng.Uniform(1500);
+            break;
+        }
+        jump = std::min<uint64_t>(jump, kRows - row);
+        ASSERT_TRUE(reader->SkipRows(jump).ok());
+        row += jump;
+        if (row >= static_cast<uint64_t>(kRows)) break;
+        ColumnBatch batch;
+        ASSERT_TRUE(reader->NextBatch(1, &batch).ok()) << "row " << row;
+        ASSERT_EQ(batch.size(), 1u) << "row " << row;
+        Value v;
+        batch.MaterializeInto(0, &v);
+        EXPECT_EQ(v.Compare(originals[row]), 0) << "row " << row;
+        ++row;
+      }
+      // Compressed-block columns carry no offsets, so they always walk.
+      const bool has_offsets = layout != ColumnLayout::kCompressedBlocks;
+      EXPECT_EQ(metrics.counter("cif.scan.jumped_bytes")->value() > 0,
+                use_offsets && has_offsets);
+    }
+    if (!wide) continue;
+
+    // A truncated copy: skipping 7 rows at a time walks every value, and
+    // one skip over all rows takes the skip blocks. SkipRows fails with
+    // the status, at the row and after the values skipped that
+    // value-by-value skipping reached (literals recorded from it).
+    std::unique_ptr<FileReader> whole;
+    ASSERT_TRUE(fs->Open("/c.col", ReadContext{}, &whole).ok());
+    const uint64_t keep = whole->size() * 3 / 5;
+    const TruncatedSkip walked =
+        SkipTruncatedCopy(fs.get(), "/c.col", "/t7.col", keep, 7);
+    const TruncatedSkip blocks =
+        SkipTruncatedCopy(fs.get(), "/c.col", "/tall.col", keep, kRows);
+    const auto expect = [](const TruncatedSkip& got, const char* status,
+                           uint64_t row, uint64_t values_skipped) {
+      EXPECT_EQ(got.status, status);
+      EXPECT_EQ(got.row, row);
+      EXPECT_EQ(got.values_skipped, values_skipped);
+    };
+    const char* const kLength = "Corruption: truncated length-prefixed bytes";
+    switch (layout) {
+      case ColumnLayout::kPlain:
+        expect(walked, kLength, 1795, 1795);
+        expect(blocks, kLength, 1795, 1795);
+        break;
+      case ColumnLayout::kSkipList:
+        expect(walked, kLength, 1795, 1795);
+        expect(blocks, "Corruption: truncated fixed32", 2000, 0);
+        break;
+      case ColumnLayout::kCompressedBlocks:
+        expect(walked, "Corruption: truncated varint", 1796, 333);
+        expect(blocks, "Corruption: truncated varint", 1796, 0);
+        break;
+      case ColumnLayout::kDictSkipList:
+        expect(walked, kLength, 1796, 1796);
+        expect(blocks, "Corruption: truncated fixed32", 2000, 0);
+        break;
+    }
   }
 }
 

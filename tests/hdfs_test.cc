@@ -369,6 +369,42 @@ TEST(ReadAccountingTest, BufferedScriptChargesArePinned) {
   EXPECT_EQ(cached.read_bytes, 2006u);
 }
 
+// A fill probes the block cache once: a block the cache misses is read
+// from a replica without a second lookup, and a cached one is one hit.
+TEST(ReadAccountingTest, FillProbesTheCacheOnce) {
+  auto fs = MakeFs();
+  std::unique_ptr<FileWriter> writer;
+  ASSERT_TRUE(fs->Create("/f", &writer).ok());
+  writer->Append(Pattern(3000));
+  ASSERT_TRUE(writer->Close().ok());
+  MetricsRegistry metrics;
+  fs->EnsureBlockCache(1 << 20, &metrics);
+  struct Probes {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+  // One Peek on a fresh reader: a fill of its empty window.
+  const auto first_peek = [&] {
+    const MetricsSnapshot before = metrics.Snapshot();
+    std::unique_ptr<FileReader> raw;
+    EXPECT_TRUE(fs->Open("/f", ReadContext{}, &raw).ok());
+    BufferedReader reader(std::move(raw), 256);
+    Slice view;
+    EXPECT_TRUE(reader.Peek(10, &view).ok());
+    EXPECT_EQ(view.ToString(), Pattern(3000).substr(0, view.size()));
+    MetricsSnapshot diff = metrics.Snapshot().Diff(before);
+    return Probes{diff.counters["hdfs.cache.hits"],
+                  diff.counters["hdfs.cache.misses"]};
+  };
+  const Probes cold = first_peek();
+  EXPECT_EQ(cold.hits, 0u);
+  EXPECT_EQ(cold.misses, 1u);
+  // The cold fill cached the block: the same fill is now one hit.
+  const Probes warm = first_peek();
+  EXPECT_EQ(warm.hits, 1u);
+  EXPECT_EQ(warm.misses, 0u);
+}
+
 TEST(BufferedReaderTest, SequentialPeekConsume) {
   auto fs = MakeFs();
   std::unique_ptr<FileWriter> writer;

@@ -684,8 +684,11 @@ bool TouchesAttrs(uint64_t id) {
   return id % 2 == 1 && SplitMix64(id ^ 0x5eed) % 100 < 4;
 }
 uint64_t AttrEntries(uint64_t id) { return id % 5; }
+// Wide attrs: 10-14 entries of 45-byte values, so a map's bytes often
+// straddle the edge of the window its segment decodes from.
+uint64_t WideAttrEntries(uint64_t id) { return 10 + id % 5; }
 
-std::unique_ptr<MiniHdfs> WriteTallyDataset() {
+std::unique_ptr<MiniHdfs> WriteTallyDataset(bool wide_attrs = false) {
   auto fs = MakeFs();
   CofOptions options;
   options.split_target_bytes = 48 * 1024;
@@ -702,9 +705,12 @@ std::unique_ptr<MiniHdfs> WriteTallyDataset() {
                   .ok());
   for (uint64_t id = 0; id < kTallyRows; ++id) {
     Value::MapEntries entries;
-    for (uint64_t e = 0; e < AttrEntries(id); ++e) {
-      entries.emplace_back("key" + std::to_string(e),
-                           Value::String("value-" + std::to_string(id)));
+    std::string value = "value-" + std::to_string(id);
+    if (wide_attrs) value.resize(45, '.');
+    const uint64_t n_entries =
+        wide_attrs ? WideAttrEntries(id) : AttrEntries(id);
+    for (uint64_t e = 0; e < n_entries; ++e) {
+      entries.emplace_back("key" + std::to_string(e), Value::String(value));
     }
     EXPECT_TRUE(writer
                     ->WriteRecord(Value::Record(
@@ -876,6 +882,47 @@ TEST(ScanTallyTest, CountersAreExactAtEveryParallelism) {
         }
       }
     }
+  }
+}
+
+// An eager scan decodes each DCSL segment from one window, and a map
+// straddling the window's edge is decoded again once the window grows:
+// its entries must still count once in serde.decode.values. `id` and
+// `tag` decode into typed lanes, which count no values.
+TEST(ScanTallyTest, EagerDcslCountsEachEntryOnce) {
+  auto fs = WriteTallyDataset(/*wide_attrs=*/true);
+  uint64_t entries = 0;
+  for (uint64_t id = 0; id < kTallyRows; ++id) entries += WideAttrEntries(id);
+  for (int parallelism : {1, 4}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    Job job;
+    job.config.input_paths = {"/tally"};
+    job.config.projection = {"id", "tag", "attrs"};
+    job.config.lazy_records = false;
+    job.config.parallelism = parallelism;
+    job.config.batch_rows = 1024;
+    job.input_format = std::make_shared<ColumnInputFormat>();
+    job.mapper = [](Record& record, Emitter* out) {
+      out->Emit(Value::Int32(0),
+                Value::Int64(static_cast<int64_t>(
+                    record.GetOrDie("attrs").map_entries().size())));
+    };
+    job.reducer = [](const Value& key, const std::vector<Value>& values,
+                     Emitter* out) {
+      int64_t sum = 0;
+      for (const Value& v : values) sum += v.int64_value();
+      out->Emit(key, Value::Int64(sum));
+    };
+    const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+    JobRunner runner(fs.get());
+    JobReport report;
+    ASSERT_TRUE(runner.Run(job, &report).ok());
+    MetricsSnapshot serde = MetricsRegistry::Default().Snapshot().Diff(before);
+    ASSERT_EQ(report.output.size(), 1u);
+    EXPECT_EQ(
+        static_cast<uint64_t>(report.output[0].second.int64_value()),
+        entries);
+    EXPECT_EQ(serde.counters["serde.decode.values"], entries);
   }
 }
 
