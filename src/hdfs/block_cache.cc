@@ -32,12 +32,6 @@ std::shared_ptr<const std::string> BlockCache::Lookup(uint64_t block_id,
   return it->second->data;
 }
 
-bool BlockCache::Contains(uint64_t block_id, uint64_t generation) const {
-  const Shard& shard = ShardFor(block_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.index.count(Key{block_id, generation}) > 0;
-}
-
 void BlockCache::Insert(uint64_t block_id, uint64_t generation,
                         std::shared_ptr<const std::string> data) {
   if (data == nullptr) return;

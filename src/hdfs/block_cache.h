@@ -54,9 +54,6 @@ class BlockCache {
                                             uint64_t generation,
                                             uint64_t served_bytes = 0);
 
-  /// Presence probe for prefetch planning: no metric bump, no LRU touch.
-  bool Contains(uint64_t block_id, uint64_t generation) const;
-
   /// Caches verified block bytes under (block_id, generation), charging
   /// data->size() bytes and evicting LRU entries of the shard to fit. An
   /// entry larger than the per-shard budget is not admitted. Re-inserting
@@ -106,9 +103,6 @@ class BlockCache {
   static constexpr int kNumShards = 8;
 
   Shard& ShardFor(uint64_t block_id) {
-    return shards_[block_id % kNumShards];
-  }
-  const Shard& ShardFor(uint64_t block_id) const {
     return shards_[block_id % kNumShards];
   }
   /// Evicts from the back of shard's LRU until it fits its budget.

@@ -12,7 +12,6 @@
 
 #include "common/coding.h"
 #include "common/crc32.h"
-#include "common/thread_pool.h"
 #include "hdfs/block_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -745,10 +744,6 @@ FileReader::FileReader(const MiniHdfs* fs, std::string path,
   m_checksum_failures_ = metrics.counter("hdfs.read.checksum_failures");
   m_seeks_ = metrics.counter("hdfs.seek.count");
   m_read_bytes_ = metrics.histogram("hdfs.read.bytes");
-  m_prefetch_issued_ = metrics.counter("cif.prefetch.issued");
-  m_prefetch_blocks_ = metrics.counter("cif.prefetch.blocks");
-  m_prefetch_bytes_ = metrics.counter("cif.prefetch.bytes");
-  m_prefetch_dropped_ = metrics.counter("cif.prefetch.dropped");
   metrics.counter("hdfs.open.count")->Increment();
 }
 
@@ -997,62 +992,6 @@ bool FileReader::TryReadView(uint64_t offset, uint64_t max_len, Slice* view,
   bool probed = false;
   return offset < size_ && max_len > 0 &&
          ServeCached(offset, max_len, 1, view, pin, &probed);
-}
-
-void FileReader::Prefetch(uint64_t offset) const {
-  if (!prefetch_enabled() || offset >= size_) return;
-  uint64_t block_start = 0;
-  size_t index = BlockIndexOf(offset, &block_start);
-  index = std::max(index, prefetch_next_block_);
-  const size_t limit = std::min(
-      blocks_.size(), index + static_cast<size_t>(context_.prefetch_depth));
-  int scheduled = 0;
-  for (; index < limit; ++index) {
-    const BlockRef& block = blocks_[index];
-    if (cache_->Contains(block.info.id, block.info.generation)) continue;
-    // Warm only blocks a foreground read could serve verified: some
-    // live, good, uncorrupted replica must exist — otherwise inserting
-    // the pristine stored bytes would resurrect data every replica has
-    // lost (the PR-2 invariant ReReplicate also preserves).
-    const std::vector<MiniHdfs::ReplicaCandidate> candidates =
-        fs_->ReadCandidates(block.info, context_.node);
-    bool servable = false;
-    for (const MiniHdfs::ReplicaCandidate& candidate : candidates) {
-      if (!candidate.corrupted) {
-        servable = true;
-        break;
-      }
-    }
-    if (!servable) {
-      m_prefetch_dropped_->Increment();
-      continue;
-    }
-    // The warm task is self-contained (cache + data + expected CRC +
-    // counters): it never touches this reader or the namenode, so it may
-    // outlive both the reader and the map task that issued it.
-    std::shared_ptr<BlockCache> cache = cache_;
-    std::shared_ptr<const std::string> data = block.data;
-    const uint64_t id = block.info.id;
-    const uint64_t generation = block.info.generation;
-    const uint32_t crc = block.info.crc;
-    Counter* warmed_bytes = m_prefetch_bytes_;
-    Counter* dropped = m_prefetch_dropped_;
-    context_.prefetch_pool->Submit(
-        [cache, data, id, generation, crc, warmed_bytes, dropped] {
-          // Same gate as the foreground path: only verified bytes enter
-          // the cache.
-          if (Crc32(Slice(*data)) != crc) {
-            dropped->Increment();
-            return;
-          }
-          cache->Insert(id, generation, data);
-          warmed_bytes->Increment(data->size());
-        });
-    m_prefetch_blocks_->Increment();
-    ++scheduled;
-  }
-  prefetch_next_block_ = std::max(prefetch_next_block_, index);
-  if (scheduled > 0) m_prefetch_issued_->Increment();
 }
 
 }  // namespace colmr

@@ -22,7 +22,6 @@ namespace colmr {
 class FileWriter;
 class FileReader;
 class BlockCache;
-class ThreadPool;
 
 /// One replicated block of a file. Data is stored once in the process;
 /// `replicas` is the placement metadata that drives locality accounting
@@ -61,14 +60,6 @@ struct ReadContext {
   uint64_t fault_salt = 0;
   MetricsRegistry* metrics = nullptr;  // null -> MetricsRegistry::Default()
   TraceCollector* trace = nullptr;     // null -> tracing off
-  /// Upcoming HDFS blocks to warm into the block cache ahead of a
-  /// sequential scan. 0 disables. Effective only when the filesystem has
-  /// a block cache attached and prefetch_pool is set.
-  int prefetch_depth = 0;
-  /// Pool the warm tasks run on. Must not be the map-task pool (its FIFO
-  /// queue would order prefetch after every queued task); the engine
-  /// creates a small dedicated pool per run. Not owned.
-  ThreadPool* prefetch_pool = nullptr;
   /// Cooperative cancellation (DESIGN.§11): when set and it becomes true,
   /// in-flight reads stop early with IoError — including mid-stall on an
   /// injected slow node, so a superseded speculative attempt never holds
@@ -404,13 +395,6 @@ class FileReader {
   /// tracing is off). Downstream layers (CIF) reuse it for their spans.
   TraceCollector* trace() const { return context_.trace; }
 
-  /// True when this reader can warm upcoming blocks asynchronously: a
-  /// cache is attached and the opener supplied a prefetch pool + depth.
-  bool prefetch_enabled() const {
-    return cache_ != nullptr && context_.prefetch_pool != nullptr &&
-           context_.prefetch_depth > 0;
-  }
-
   /// Reads up to n bytes at offset as a view: *out stays valid while *pin
   /// is held, whatever later happens to this reader, the file or the
   /// cache. Short reads happen only at end-of-file. A range inside one
@@ -436,14 +420,6 @@ class FileReader {
   /// returns true; otherwise returns false with nothing charged.
   bool TryReadView(uint64_t offset, uint64_t max_len, Slice* view,
                    std::shared_ptr<const std::string>* pin) const;
-
-  /// Schedules asynchronous warming of up to ReadContext::prefetch_depth
-  /// uncached blocks, starting at the block containing `offset`, onto the
-  /// prefetch pool. Each warm task verifies the stored bytes against the
-  /// namenode CRC before inserting. Blocks this reader already issued a
-  /// warm task for are skipped (the prefetch horizon only moves forward).
-  /// No-op unless prefetch_enabled().
-  void Prefetch(uint64_t offset) const;
 
  private:
   friend class MiniHdfs;
@@ -488,9 +464,6 @@ class FileReader {
   FaultInjector faults_;
   /// Cache snapshot taken at Open (null = filesystem has none attached).
   std::shared_ptr<BlockCache> cache_;
-  /// First block index not yet considered by Prefetch; advances
-  /// monotonically so repeated sequential fills don't re-issue tasks.
-  mutable size_t prefetch_next_block_ = 0;
   /// Running fault-draw counter: makes successive attempts draw fresh
   /// outcomes while staying a pure function of this reader's history.
   mutable uint64_t fault_draws_ = 0;
@@ -507,12 +480,6 @@ class FileReader {
   Counter* m_checksum_failures_;
   Counter* m_seeks_;
   Histogram* m_read_bytes_;
-  /// cif.prefetch.* — named for the columnar scan path that drives
-  /// prefetching (the knobs flow in from CIF scans via ReadContext).
-  Counter* m_prefetch_issued_;
-  Counter* m_prefetch_blocks_;
-  Counter* m_prefetch_bytes_;
-  Counter* m_prefetch_dropped_;
 };
 
 }  // namespace colmr

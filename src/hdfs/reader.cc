@@ -16,13 +16,6 @@ void BufferedReader::Reposition(uint64_t offset) {
   pin_.reset();
 }
 
-void BufferedReader::MaybePrefetch() {
-  // Two fills without an out-of-window reposition establish a sequential
-  // pattern; from then on keep the warm horizon ahead of the window.
-  if (sequential_fills_ < 2) return;
-  file_->Prefetch(window_end());
-}
-
 Status BufferedReader::Fill(size_t min_bytes) {
   const uint64_t from = std::max(position_, window_end());
   if (from >= file_->size()) return Status::OK();
@@ -56,8 +49,6 @@ Status BufferedReader::Fill(size_t min_bytes) {
   window_start_ = position_;
   window_ = view;
   pin_ = std::move(pin);
-  ++sequential_fills_;
-  MaybePrefetch();
   return Status::OK();
 }
 
@@ -81,10 +72,9 @@ Status BufferedReader::Seek(uint64_t offset) {
     return Status::OK();
   }
   // Out-of-window reposition: charge a seek and discard the window.
-  // Bytes already prefetched stay charged — that waste is the point of
+  // Bytes already buffered stay charged — that waste is the point of
   // modelling reads at io.file.buffer.size granularity.
   Reposition(offset);
-  sequential_fills_ = 0;
   if (ever_read_) file_->CountSeek();
   return Status::OK();
 }
@@ -98,7 +88,7 @@ Status BufferedReader::Skip(uint64_t n) {
   // Short forward skips are cheaper to read through than to reposition
   // (what real buffered streams do): the skipped bytes are still fetched
   // and charged, but no seek is incurred. Only skips landing well beyond
-  // the next prefetch window become a true seek that saves I/O.
+  // the next buffer window become a true seek that saves I/O.
   if (target - window_end() > 2 * buffer_size_) return Seek(target);
   while (window_end() < target) {
     const uint64_t from = window_end();
@@ -133,7 +123,6 @@ bool BufferedReader::TryJump(uint64_t offset) {
   Reposition(offset);
   window_ = view;
   pin_ = std::move(pin);
-  sequential_fills_ = 1;
   if (!ever_read_) {
     ever_read_ = true;
     file_->CountSeek();

@@ -14,7 +14,7 @@ namespace colmr {
 /// Sequential reader over an HDFS file that fetches in io.file.buffer.size
 /// chunks, exactly like Hadoop's buffered streams. All format readers pull
 /// their bytes through this class, so the IoStats they accumulate include
-/// prefetch amplification: a 2 KB column chunk still costs a full buffer
+/// read-ahead amplification: a 2 KB column chunk still costs a full buffer
 /// fetch. This is the mechanism behind the paper's observation that RCFile
 /// reads 20x more bytes than CIF when projecting one column (Section 6.2).
 ///
@@ -23,10 +23,7 @@ namespace colmr {
 /// a fresh buffer when it spans two. The unread tail of the old window
 /// carries over as a view inside the new view's block; only a tail lying
 /// in the previous block is copied, joined with the new bytes. An empty
-/// window may refill from a cached block alone. The ReadContext's
-/// `prefetch_depth` schedules asynchronous warming of upcoming blocks once
-/// the access pattern looks sequential (two fills without an
-/// out-of-window reposition).
+/// window may refill from a cached block alone.
 class BufferedReader {
  public:
   /// buffer_size == 0 uses the filesystem's configured io_buffer_size.
@@ -56,7 +53,7 @@ class BufferedReader {
   std::shared_ptr<const std::string> PinnedWindow() const { return pin_; }
 
   /// Repositions the cursor. Jumping outside the buffered range counts a
-  /// seek and discards the window (prefetched bytes stay charged).
+  /// seek and discards the window (its unread bytes stay charged).
   Status Seek(uint64_t offset);
 
   /// Skips n bytes forward: consumes from the buffer when possible,
@@ -89,9 +86,6 @@ class BufferedReader {
   Status Fill(size_t min_bytes);
   /// Empties the window and puts the cursor at `offset`.
   void Reposition(uint64_t offset);
-  /// Issues async warming of blocks past the window once the access
-  /// pattern is sequential.
-  void MaybePrefetch();
 
   std::unique_ptr<FileReader> file_;
   uint64_t buffer_size_;
@@ -101,9 +95,6 @@ class BufferedReader {
   Slice window_;
   std::shared_ptr<const std::string> pin_;
   bool ever_read_ = false;
-  /// Consecutive forward fills without an out-of-window reposition; >= 2
-  /// marks the stream sequential for prefetch purposes.
-  uint64_t sequential_fills_ = 0;
 };
 
 }  // namespace colmr

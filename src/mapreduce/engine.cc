@@ -241,6 +241,10 @@ class JobRun {
     if (!job_.mapper) {
       return Status::InvalidArgument("job has no mapper");
     }
+    if (config_.prefetch_depth != 0) {
+      return Status::InvalidArgument(
+          "prefetch_depth must be 0: the engine has no block prefetch");
+    }
     metrics_->counter("mr.job.runs")->Increment();
 
     // Output guard + commit protocol (DESIGN.md §11): claim the output
@@ -280,16 +284,12 @@ class JobRun {
   // ---- Plan ----
 
   Status Plan() {
-    // Block cache + prefetch (DESIGN.md §9): attach the shared cache
-    // (idempotent, so repeated jobs share one warm cache) and stand up the
-    // dedicated warm-task pool. Prefetch must NOT share the map-task pool:
-    // its FIFO queue would order warm tasks after every queued map task,
-    // by which time the scan they were meant to overlap has finished.
+    // Block cache (DESIGN.md §9): attach the shared cache (idempotent, so
+    // repeated jobs share one warm cache). It lives as long as the
+    // filesystem, so it counts into the process registry, never into
+    // this job's, which later jobs' hits would outlive.
     if (config_.cache_bytes > 0) {
-      fs_->EnsureBlockCache(config_.cache_bytes, metrics_);
-      if (config_.prefetch_depth > 0) {
-        prefetch_pool_ = std::make_unique<ThreadPool>(2);
-      }
+      fs_->EnsureBlockCache(config_.cache_bytes, nullptr);
     }
 
     // Sort-merge shuffle setup (DESIGN.md §12). The reducer count is fixed
@@ -424,12 +424,7 @@ class JobRun {
         if (speculate_) MonitorStragglers();
         pool_->Wait();
       } else {
-        for (size_t i = 0; i < splits_.size(); ++i) {
-          RunPrimary(i);
-          // Fail fast once a task's own retries are exhausted; the join
-          // below reports the failure.
-          if (!results_[i].status.ok()) break;
-        }
+        for (size_t i = 0; i < splits_.size(); ++i) RunPrimary(i);
       }
     }
     report_->speculative_launched = spec_launched_.load();
@@ -672,8 +667,6 @@ class JobRun {
     ReadContext context{node, &task->io,
                         AttemptSalt(kMapReadSaltDomain, i, attempt), metrics_,
                         trace_};
-    context.prefetch_depth = config_.prefetch_depth;
-    context.prefetch_pool = prefetch_pool_.get();
     context.cancel = superseded;
     std::unique_ptr<RecordReader> reader;
     out.status = job_.input_format->CreateRecordReader(fs_, config_, splits_[i],
@@ -1119,8 +1112,7 @@ class JobRun {
   std::vector<SpillRun> runs_;
   std::vector<ReduceTaskResult> reduced_;
 
-  // Pools last: they join before the state their tasks touch goes away.
-  std::unique_ptr<ThreadPool> prefetch_pool_;
+  // The pool last: it joins before the state its tasks touch goes away.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -102,16 +102,17 @@ struct JobConfig {
   /// parallelism != 1 — the serial engine has no one to race.
   bool speculative_execution = false;
 
-  // ---- Block cache and prefetch (DESIGN.md §9) ----
+  // ---- Block cache (DESIGN.md §9) ----
   /// Capacity of the shared cache of verified block bytes the job's
   /// readers go through. 0 (default) = no cache: every read pays the
   /// full replica-selection + checksum path, as before this knob
   /// existed. The cache attaches to the filesystem and persists across
   /// jobs, so a second job over the same data starts warm.
   uint64_t cache_bytes = 0;
-  /// Upcoming HDFS blocks to warm into the cache asynchronously, per
-  /// sequential stream. 0 = no prefetch. Requires cache_bytes > 0; warm
-  /// tasks run on a small dedicated pool the engine owns for the run.
+  /// Must be 0: JobRunner::Run rejects any other value with
+  /// InvalidArgument. The engine has no block prefetch; the field stays
+  /// only because perfbench/src/main.cc:179 assigns it, and goes with
+  /// that line in the benchmark change of ROADMAP item 8.
   int prefetch_depth = 0;
 
   // ---- Sort-merge shuffle (DESIGN.md §12) ----

@@ -1,9 +1,9 @@
-// Tests for the shared block cache and block prefetch (DESIGN.md §9):
-// BlockCache LRU/charging semantics, FileReader read-through and
-// invalidation (a corrupted replica must never be served from the cache),
-// and asynchronous prefetch. Job output equal to a reference with the
-// cache and prefetch on or off, cold or warm, with and without
-// a corrupted replica, is oracle_test's.
+// Tests for the shared block cache (DESIGN.md §9): BlockCache
+// LRU/charging semantics, FileReader read-through and invalidation (a
+// corrupted replica must never be served from the cache), and what cold
+// and warm job scans charge. Job output equal to a reference with the
+// cache on or off, cold or warm, with and without a corrupted replica,
+// is oracle_test's.
 
 #include <gtest/gtest.h>
 
@@ -83,9 +83,6 @@ TEST(BlockCacheTest, MetricsCountHitsMissesAndBytes) {
   cache.Insert(5, 0, Bytes(64, 'z'));
   EXPECT_EQ(cache.Lookup(9, 0, 16), nullptr);  // miss
   EXPECT_NE(cache.Lookup(5, 0, 16), nullptr);  // hit serving 16 bytes
-  // Contains is a metrics-free probe.
-  EXPECT_TRUE(cache.Contains(5, 0));
-  EXPECT_FALSE(cache.Contains(9, 0));
   MetricsSnapshot snap = metrics.Snapshot();
   EXPECT_EQ(snap.counters.at("hdfs.cache.hits"), 1u);
   EXPECT_EQ(snap.counters.at("hdfs.cache.misses"), 1u);
@@ -308,7 +305,7 @@ TEST(CacheReadThroughTest, FailedSkipKeepsTheCursorReadable) {
   EXPECT_EQ(view.ToString(), payload.substr(900, view.size()));
 }
 
-// ---- Job-level: prefetch counters and a warm re-scan ----------------------
+// ---- Job-level: cold and warm scans -----------------------------------------
 
 // Output comparison only: with the cache on, IoStats legitimately differ
 // (hits charge no bytes), so unlike the parallel-engine equivalence tests
@@ -325,15 +322,15 @@ void ExpectSameOutput(const JobReport& a, const JobReport& b) {
   }
 }
 
-TEST(CacheJobTest, CifScanIssuesPrefetchAndHitsOnRescan) {
+/// A CIF crawl dataset at /cif whose content column spans several HDFS
+/// blocks per split.
+std::unique_ptr<MiniHdfs> MakeCrawlFs() {
   ClusterConfig config;
   config.num_nodes = 4;
   config.block_size = 32 * 1024;
   config.io_buffer_size = 4 * 1024;
   auto fs = std::make_unique<MiniHdfs>(
       config, std::make_unique<ColumnPlacementPolicy>(23));
-  Schema::Ptr schema = CrawlSchema();
-
   CrawlGeneratorOptions gen_options;
   gen_options.min_content_bytes = 300;
   gen_options.max_content_bytes = 800;
@@ -342,23 +339,20 @@ TEST(CacheJobTest, CifScanIssuesPrefetchAndHitsOnRescan) {
   cof_options.split_target_bytes = 128 * 1024;
   cof_options.default_column.layout = ColumnLayout::kSkipList;
   std::unique_ptr<CofWriter> cof;
-  ASSERT_TRUE(CofWriter::Open(fs.get(), "/cif", schema, cof_options, &cof).ok());
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(cof->WriteRecord(gen.Next()).ok());
-  }
-  ASSERT_TRUE(cof->Close().ok());
+  EXPECT_TRUE(
+      CofWriter::Open(fs.get(), "/cif", CrawlSchema(), cof_options, &cof).ok());
+  for (int i = 0; i < 600; ++i) EXPECT_TRUE(cof->WriteRecord(gen.Next()).ok());
+  EXPECT_TRUE(cof->Close().ok());
+  return fs;
+}
 
-  MetricsRegistry metrics;
+/// Sums url and content lengths over eager records, through the cache.
+Job ContentLengthJob() {
   Job job;
   job.config.input_paths = {"/cif"};
-  // Eager records over a multi-block column: the content column file
-  // spans several HDFS blocks per split, so the sequential scan has
-  // blocks ahead of it to warm.
   job.config.projection = {"url", "content"};
   job.config.lazy_records = false;
   job.config.cache_bytes = 16 << 20;
-  job.config.prefetch_depth = 3;
-  job.config.metrics = &metrics;
   job.input_format = std::make_shared<ColumnInputFormat>();
   job.mapper = [](Record& record, Emitter* out) {
     out->Emit(Value::Int64(0),
@@ -375,18 +369,71 @@ TEST(CacheJobTest, CifScanIssuesPrefetchAndHitsOnRescan) {
   // With a combiner, cold and warm runs must also agree on the combined
   // map output count.
   job.combiner = job.reducer;
+  return job;
+}
 
+/// What one job run charged: its report, its registry's hdfs.read.ops,
+/// and the cache's counters, which live on the process registry.
+struct ScanCharges {
+  JobReport report;
+  uint64_t read_ops = 0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
+ScanCharges RunScan(JobRunner* runner, Job job) {
+  MetricsRegistry metrics;
+  job.config.metrics = &metrics;
+  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+  ScanCharges charges;
+  EXPECT_TRUE(runner->Run(job, &charges.report).ok());
+  MetricsSnapshot cache =
+      MetricsRegistry::Default().Snapshot().Diff(before);
+  charges.read_ops = metrics.Snapshot().counters["hdfs.read.ops"];
+  charges.hits = cache.counters["hdfs.cache.hits"];
+  charges.misses = cache.counters["hdfs.cache.misses"];
+  return charges;
+}
+
+TEST(CacheJobTest, ColdScansChargeAlikeAndWarmRescanChargesNothing) {
+  auto fs = MakeCrawlFs();
+  Job job = ContentLengthJob();
+  job.config.parallelism = 4;
   JobRunner runner(fs.get());
-  JobReport cold, warm;
-  ASSERT_TRUE(runner.Run(job, &cold).ok());
-  MetricsSnapshot after_cold = metrics.Snapshot();
-  EXPECT_GT(after_cold.counters.at("cif.prefetch.issued"), 0u);
-  EXPECT_GT(after_cold.counters.at("cif.prefetch.blocks"), 0u);
 
-  ASSERT_TRUE(runner.Run(job, &warm).ok());
-  MetricsSnapshot after_warm = metrics.Snapshot();
-  EXPECT_GT(after_warm.counters.at("hdfs.cache.hits"), 0u);
-  ExpectSameOutput(cold, warm);
+  // Every block in the cache is one a task read and was charged for, so
+  // a cold scan charges the same whatever the task threads' timing.
+  const ScanCharges first = RunScan(&runner, job);
+  EXPECT_GT(first.report.BytesRead(), 0u);
+  EXPECT_GT(first.misses, 0u);
+  for (int run = 1; run < 5; ++run) {
+    fs->SetBlockCache(nullptr);
+    const ScanCharges cold = RunScan(&runner, job);
+    EXPECT_EQ(cold.report.BytesRead(), first.report.BytesRead()) << run;
+    EXPECT_EQ(cold.read_ops, first.read_ops) << run;
+    EXPECT_EQ(cold.misses, first.misses) << run;
+    ExpectSameOutput(first.report, cold.report);
+  }
+
+  const ScanCharges warm = RunScan(&runner, job);
+  EXPECT_EQ(warm.report.BytesRead(), 0u);
+  EXPECT_EQ(warm.misses, 0u);
+  EXPECT_GT(warm.hits, 0u);
+  ExpectSameOutput(first.report, warm.report);
+}
+
+TEST(CacheJobTest, CacheCountsAfterTheCreatingJobsRegistryIsGone) {
+  // The engine attaches the cache, which outlives every job, with the
+  // process registry. Job A creates it under a private registry that
+  // dies when RunScan returns, before job B's hits are counted.
+  auto fs = MakeCrawlFs();
+  JobRunner runner(fs.get());
+  const ScanCharges a = RunScan(&runner, ContentLengthJob());
+  EXPECT_GT(a.misses, 0u);
+  const ScanCharges b = RunScan(&runner, ContentLengthJob());
+  EXPECT_GT(b.hits, 0u);
+  EXPECT_EQ(b.misses, 0u);
+  EXPECT_EQ(b.report.BytesRead(), 0u);
 }
 
 }  // namespace

@@ -353,14 +353,28 @@ TEST(ReadAccountingTest, BufferedScriptChargesArePinned) {
   EXPECT_EQ(uncached.read_ops, 9u);
   EXPECT_EQ(uncached.read_bytes, 2858u);
 
-  // The same script over a warm cache. Hits charge no bytes; a fill of
-  // an empty window served by one cached block is a memory hit, stops at
-  // the block's end and charges no IoStats read.
+  // The same script over an empty cache. A miss charges only the range
+  // its fill asked for but caches the whole block, so the block's later
+  // fills are free hits: the cold pass charges fewer bytes than the
+  // uncached one, yet inserts every byte of the three blocks.
   fs->EnsureBlockCache(1 << 20, nullptr);
-  std::unique_ptr<FileReader> warm;
-  ASSERT_TRUE(fs->Open("/f", ReadContext{}, &warm).ok());
-  std::string all;
-  ASSERT_TRUE(warm->Read(0, warm->size(), &all).ok());
+  const MetricsSnapshot before_cold = MetricsRegistry::Default().Snapshot();
+  const ScriptCharges cold = ReplayAccountingScript(fs.get(), node);
+  MetricsSnapshot cold_cache =
+      MetricsRegistry::Default().Snapshot().Diff(before_cold);
+  EXPECT_EQ(cold.io.local_bytes, 322u);
+  EXPECT_EQ(cold.io.remote_bytes, 256u);
+  EXPECT_EQ(cold.io.reads, 7u);
+  EXPECT_EQ(cold.io.seeks, 3u);
+  EXPECT_EQ(cold.read_ops, 9u);
+  EXPECT_EQ(cold.read_bytes, 2006u);
+  EXPECT_EQ(cold_cache.counters["hdfs.cache.misses"], 3u);
+  EXPECT_EQ(cold_cache.counters["hdfs.cache.hits"], 7u);
+  EXPECT_EQ(cold_cache.counters["hdfs.cache.insert_bytes"], 3000u);
+
+  // The same script over the cache the cold pass filled. Hits charge no
+  // bytes; a fill of an empty window served by one cached block is a
+  // memory hit, stops at the block's end and charges no IoStats read.
   const ScriptCharges cached = ReplayAccountingScript(fs.get(), node);
   EXPECT_EQ(cached.io.local_bytes + cached.io.remote_bytes, 0u);
   EXPECT_EQ(cached.io.reads, 5u);
@@ -430,7 +444,7 @@ TEST(BufferedReaderTest, SequentialPeekConsume) {
   EXPECT_EQ(stats.local_bytes, payload.size());
 }
 
-TEST(BufferedReaderTest, SeekOutsideWindowCountsSeekAndChargesPrefetch) {
+TEST(BufferedReaderTest, SeekOutsideWindowCountsSeekAndChargesReadAhead) {
   auto fs = MakeFs();
   std::unique_ptr<FileWriter> writer;
   ASSERT_TRUE(fs->Create("/f", &writer).ok());

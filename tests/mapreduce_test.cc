@@ -171,6 +171,16 @@ TEST(JobRunnerTest, MissingPiecesRejected) {
   empty_input.mapper = [](Record&, Emitter*) {};
   empty_input.config.input_paths = {"/nope"};
   EXPECT_FALSE(runner.Run(empty_input, &report).ok());
+  // prefetch_depth is a field that must stay 0.
+  WriteSentences(fs.get(), "/words", {"a b"});
+  Job words;
+  words.input_format = std::make_shared<TextInputFormat>();
+  words.mapper = [](Record&, Emitter*) {};
+  words.config.input_paths = {"/words"};
+  words.config.prefetch_depth = 2;
+  EXPECT_TRUE(runner.Run(words, &report).IsInvalidArgument());
+  words.config.prefetch_depth = 0;
+  EXPECT_TRUE(runner.Run(words, &report).ok());
 }
 
 TEST(JobRunnerTest, CifJobIsDataLocalUnderCpp) {

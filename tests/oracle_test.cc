@@ -315,8 +315,6 @@ std::string SampleKnobs(Random& rng, bool lazy, JobConfig* config) {
   config->batch_rows = Note(&knobs, "batch_rows", Pick(rng, batch_rows));
   config->parallelism = Note(&knobs, "parallelism", rng.OneIn(2) ? 1 : 4);
   config->predicate_pushdown = Note(&knobs, "pushdown", !rng.OneIn(6));
-  config->prefetch_depth =
-      Note(&knobs, "prefetch", config->cache_bytes > 0 && rng.OneIn(2) ? 2 : 0);
   config->num_reduce_tasks =
       Note(&knobs, "reducers", 1 + static_cast<int>(rng.Uniform(5)));
   config->sort_buffer_bytes = Note(&knobs, "sort_buffer", Pick(rng, buffers));
@@ -517,10 +515,8 @@ class OracleTest : public ::testing::TestWithParam<int> {
 
 TEST_P(OracleTest, JobMatchesReference) {
   const uint64_t seed = FaultSeed();
-  // Outlives the case's filesystem: its block cache keeps the registry the
-  // first job attached it with.
-  MetricsRegistry metrics;
   Case c = Sample(seed, GetParam());
+  MetricsRegistry metrics;
   MiniHdfs& fs = *c.fs;
   SCOPED_TRACE("COLMR_FAULT_SEED=" + std::to_string(seed) + " case " +
                std::to_string(GetParam()) + ":" + c.what);

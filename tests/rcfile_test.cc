@@ -155,7 +155,7 @@ TEST(RcFileTest, UnknownProjectedColumnRejected) {
 TEST(RcFileTest, ProjectionReadsFewerBytesThanFullScan) {
   // The I/O-elimination property Fig. 7 measures: projecting one narrow
   // column must fetch fewer bytes than scanning everything — but, because
-  // of row-group metadata and buffer-granularity prefetch, still far more
+  // of row-group metadata and buffer-granularity read-ahead, still far more
   // than the column's own bytes (CIF's advantage).
   auto fs = MakeFs();
   Schema::Ptr schema = MicrobenchSchema();
@@ -195,7 +195,7 @@ TEST(RcFileTest, ProjectionReadsFewerBytesThanFullScan) {
   const uint64_t one_int = scan_bytes({"int0"});
   const uint64_t all = scan_bytes({});
   EXPECT_LT(one_int, all);
-  // ... but the metadata + prefetch overhead keeps it well above the
+  // ... but the metadata + read-ahead overhead keeps it well above the
   // actual size of one int column (3000 records × ~2 bytes).
   EXPECT_GT(one_int, 30u * 3000u);
 }

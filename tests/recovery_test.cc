@@ -13,6 +13,7 @@
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/engine.h"
 #include "workload/weblog.h"
+#include "word_count_job.h"
 
 namespace colmr {
 namespace {
@@ -319,6 +320,48 @@ TEST(TaskRetryTest, TransientFaultScanCompletesByteIdentical) {
     EXPECT_GE(report.failover_reads, 1u);
     EXPECT_EQ(SerializeOutput(report), baseline);
   }
+}
+
+TEST(TaskRetryTest, FailedJobReportsTheSameAtEveryParallelism) {
+  // Split 0 can never succeed: every replica of block 0 of its status
+  // column is corrupt. The other tasks draw transient read faults. The
+  // failed job's recovery fields must not depend on the thread count, so
+  // the serial engine runs every task, not only those before the first
+  // failure.
+  std::vector<Status> statuses;
+  std::vector<JobReport> reports;
+  for (int parallelism : {1, 4}) {
+    auto fs = std::make_unique<MiniHdfs>(
+        TestCluster(), std::make_unique<ColumnPlacementPolicy>(22));
+    WriteCifDataset(fs.get(), "/logs", 2000);
+    Job job = StatusCountJob(parallelism);
+    std::vector<InputSplit> splits;
+    ASSERT_TRUE(
+        job.input_format->GetSplits(fs.get(), job.config, &splits).ok());
+    ASSERT_EQ(splits.size(), 4u);
+    std::string victim;
+    for (const std::string& path : splits[0].paths) {
+      if (path.ends_with("/status.col")) victim = path;
+    }
+    ASSERT_FALSE(victim.empty());
+    for (size_t replica = 0; replica < 3; ++replica) {
+      ASSERT_TRUE(fs->CorruptReplica(victim, 0, replica).ok());
+    }
+    FaultConfig faults;
+    faults.seed = FaultSeed();
+    faults.read_error_p = 0.3;
+    fs->SetFaultConfig(faults);
+
+    JobReport report;
+    statuses.push_back(JobRunner(fs.get()).Run(job, &report));
+    reports.push_back(std::move(report));
+  }
+  EXPECT_FALSE(statuses[0].ok());
+  EXPECT_EQ(statuses[0].ToString(), statuses[1].ToString());
+  EXPECT_EQ(reports[0].task_retries, reports[1].task_retries);
+  EXPECT_EQ(reports[0].failover_reads, reports[1].failover_reads);
+  EXPECT_EQ(reports[0].checksum_failures, reports[1].checksum_failures);
+  EXPECT_EQ(reports[0].blacklisted_nodes, reports[1].blacklisted_nodes);
 }
 
 TEST(TaskRetryTest, MidJobNodeKillDoesNotChangeOutput) {

@@ -43,14 +43,14 @@
 //                                               (DESIGN.md §12); codec C is
 //                                               none | lzf | zlite
 //   colmr stats <image> <dataset> [--json] [--lazy] [--project=c1,c2]
-//               [--cache-mb=N] [--prefetch-depth=N]
-//               [--batch-rows=N] [--where=EXPR] [--no-pushdown]
+//               [--cache-mb=N] [--batch-rows=N] [--where=EXPR]
+//               [--no-pushdown]
 //                                               print the per-column
 //                                               zone-map summary of a CIF
 //                                               dataset, then run a scan
 //                                               job and dump the metrics
 //                                               delta it produced
-//                                               (cache/prefetch knobs:
+//                                               (block cache:
 //                                               DESIGN.md §9; predicate
 //                                               pushdown: DESIGN.md §13.
 //                                               --where filters the scan,
@@ -58,8 +58,7 @@
 //                                               --no-pushdown keeps the
 //                                               filter in the map loop)
 //   colmr trace <image> <dataset> <out.json> [--lazy] [--project=c1,c2]
-//               [--cache-mb=N] [--prefetch-depth=N]
-//               [--batch-rows=N]
+//               [--cache-mb=N] [--batch-rows=N]
 //                                               run a scan job and write its
 //                                               span timeline as Chrome
 //                                               trace_event JSON (open at
@@ -604,9 +603,8 @@ struct ScanJobFlags {
   // Predicate pushdown (DESIGN.md §13).
   std::string where;
   bool pushdown = true;
-  // Block cache / prefetch knobs (DESIGN.md §9).
+  // Block cache capacity (DESIGN.md §9).
   uint64_t cache_mb = 0;
-  int prefetch_depth = 0;
   // Map-loop batch size (DESIGN.md §10); 0 keeps the JobConfig default.
   uint64_t batch_rows = 0;
 };
@@ -625,8 +623,6 @@ ScanJobFlags ParseScanJobFlags(int argc, char** argv) {
       flags.pushdown = false;
     } else if (arg.rfind("--cache-mb=", 0) == 0) {
       flags.cache_mb = std::strtoull(arg.c_str() + 11, nullptr, 10);
-    } else if (arg.rfind("--prefetch-depth=", 0) == 0) {
-      flags.prefetch_depth = std::atoi(arg.c_str() + 17);
     } else if (arg.rfind("--batch-rows=", 0) == 0) {
       flags.batch_rows = std::strtoull(arg.c_str() + 13, nullptr, 10);
     } else if (arg.rfind("--project=", 0) == 0) {
@@ -657,7 +653,6 @@ Status RunScanJob(MiniHdfs* fs, const std::string& path,
   job.config.projection = flags.projection;
   job.config.trace_path = trace_path;
   job.config.cache_bytes = flags.cache_mb << 20;
-  job.config.prefetch_depth = flags.prefetch_depth;
   if (flags.batch_rows > 0) job.config.batch_rows = flags.batch_rows;
   COLMR_RETURN_IF_ERROR(SetWhere(flags.where, flags.pushdown, &job.config));
   COLMR_RETURN_IF_ERROR(
