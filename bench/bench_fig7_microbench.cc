@@ -15,8 +15,8 @@
 #include "bench/datasets.h"
 #include "cif/cif.h"
 #include "cif/cof.h"
-#include "formats/rcfile/rcfile_format.h"
-#include "formats/seq/seq_format.h"
+#include "formats/rcfile/rcfile.h"
+#include "formats/seq/seq_file.h"
 #include "formats/text/text_format.h"
 #include "workload/synthetic.h"
 

@@ -13,7 +13,7 @@
 #include "bench/datasets.h"
 #include "cif/cif.h"
 #include "cif/cof.h"
-#include "formats/rcfile/rcfile_format.h"
+#include "formats/rcfile/rcfile.h"
 #include "workload/synthetic.h"
 
 namespace colmr {

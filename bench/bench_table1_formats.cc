@@ -21,8 +21,8 @@
 #include "cif/cif.h"
 #include "cif/cof.h"
 #include "compress/codec.h"
-#include "formats/rcfile/rcfile_format.h"
-#include "formats/seq/seq_format.h"
+#include "formats/rcfile/rcfile.h"
+#include "formats/seq/seq_file.h"
 #include "mapreduce/engine.h"
 #include "workload/crawl.h"
 

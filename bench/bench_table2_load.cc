@@ -13,7 +13,7 @@
 #include "cif/loader.h"
 #include "common/stopwatch.h"
 #include "formats/rcfile/rcfile.h"
-#include "formats/seq/seq_format.h"
+#include "formats/seq/seq_file.h"
 #include "workload/synthetic.h"
 
 namespace colmr {

@@ -11,7 +11,7 @@
 
 #include "cif/cif.h"
 #include "cif/cof.h"
-#include "formats/seq/seq_format.h"
+#include "formats/seq/seq_file.h"
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/engine.h"
 #include "workload/crawl.h"

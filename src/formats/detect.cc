@@ -3,8 +3,8 @@
 #include <cctype>
 
 #include "cif/cif.h"
-#include "formats/rcfile/rcfile_format.h"
-#include "formats/seq/seq_format.h"
+#include "formats/rcfile/rcfile.h"
+#include "formats/seq/seq_file.h"
 #include "formats/text/text_format.h"
 
 namespace colmr {

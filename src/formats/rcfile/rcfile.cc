@@ -1,46 +1,23 @@
 #include "formats/rcfile/rcfile.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/coding.h"
-#include "common/hash.h"
-#include "common/random.h"
 #include "formats/text/text_format.h"
+#include "mapreduce/job.h"
 #include "serde/encoding.h"
+#include "serde/predicate.h"
 
 namespace colmr {
 
 namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'F', '1'};
-constexpr size_t kSyncSize = 16;
-constexpr uint32_t kSyncEscape = 0xFFFFFFFFu;
 
-/// Domain seed for sync-marker derivation: a specified hash of the path
-/// (common/hash.h), not std::hash — the marker bytes must be identical on
-/// every platform/stdlib. RcFileTest.SyncMarkerBytesArePinned pins them.
+/// Domain seed of the sync-marker derivation (formats/row_format.h).
 constexpr uint64_t kRcSyncSeed = 0x5243463153594e43ull;  // "RCF1SYNC"
 
-std::string MakeSyncMarker(uint64_t seed) {
-  Random rng(seed);
-  std::string sync(kSyncSize, '\0');
-  for (size_t i = 0; i < kSyncSize; ++i) {
-    sync[i] = static_cast<char>(rng.Uniform(255));
-  }
-  return sync;
-}
-
 }  // namespace
-
-RcFileWriter::RcFileWriter(Schema::Ptr schema, RcFileWriterOptions options,
-                           std::unique_ptr<FileWriter> file, std::string sync)
-    : schema_(std::move(schema)),
-      options_(options),
-      file_(std::move(file)),
-      sync_(std::move(sync)),
-      column_data_(schema_->fields().size()),
-      value_lengths_(schema_->fields().size()) {}
 
 Status RcFileWriter::Open(MiniHdfs* fs, const std::string& path,
                           Schema::Ptr schema,
@@ -52,18 +29,12 @@ Status RcFileWriter::Open(MiniHdfs* fs, const std::string& path,
   if (GetCodec(options.codec) == nullptr) {
     return Status::InvalidArgument("rcfile: unknown codec");
   }
-  COLMR_RETURN_IF_ERROR(WriteDatasetSchema(fs, path, *schema));
+  const char flags[1] = {static_cast<char>(options.codec)};
   std::unique_ptr<FileWriter> file;
-  COLMR_RETURN_IF_ERROR(fs->Create(path + "/part-00000", &file));
-
-  std::string sync = MakeSyncMarker(HashBytes(path, kRcSyncSeed));
-  Buffer header;
-  header.Append(Slice(kMagic, 4));
-  PutLengthPrefixed(&header, schema->ToString());
-  header.PushBack(static_cast<char>(options.codec));
-  header.Append(sync);
-  file->Append(header.AsSlice());
-
+  std::string sync;
+  COLMR_RETURN_IF_ERROR(CreateSyncFile(fs, path, *schema, kMagic,
+                                       Slice(flags, 1), kRcSyncSeed, &file,
+                                       &sync));
   writer->reset(
       new RcFileWriter(std::move(schema), options, std::move(file), sync));
   return Status::OK();
@@ -110,8 +81,7 @@ Status RcFileWriter::FlushRowGroup() {
   }
 
   Buffer out;
-  PutFixed32(&out, kSyncEscape);
-  out.Append(sync_);
+  AppendSyncEscape(sync_, &out);
   // Metadata region.
   PutVarint64(&out, group_rows_);
   PutVarint64(&out, n_cols);
@@ -144,120 +114,69 @@ Status RcFileWriter::Close() {
   return file_->Close();
 }
 
-// ---- RcFileScanner ----
+namespace {
 
-Status RcFileScanner::Open(MiniHdfs* fs, const std::string& file,
-                           const ReadContext& context, uint64_t offset,
-                           uint64_t length, std::vector<int> projection,
-                           std::unique_ptr<RcFileScanner>* scanner) {
-  std::unique_ptr<FileReader> raw;
-  COLMR_RETURN_IF_ERROR(fs->Open(file, context, &raw));
-  auto buffered = std::make_unique<BufferedReader>(
-      std::move(raw), fs->config().io_buffer_size);
-  std::unique_ptr<RcFileScanner> result(new RcFileScanner());
-  result->input_ = std::move(buffered);
-  std::sort(projection.begin(), projection.end());
-  result->projection_ = std::move(projection);
-  COLMR_RETURN_IF_ERROR(result->Init(offset, length));
-  *scanner = std::move(result);
-  return Status::OK();
-}
+/// Reads the owned row-groups of one RCFile split, materializing only the
+/// projected columns.
+class RcFileRecordReader final : public SyncFileReader {
+ public:
+  RcFileRecordReader(std::unique_ptr<BufferedReader> input,
+                     const InputSplit& split)
+      : SyncFileReader(std::move(input), split) {}
 
-Status RcFileScanner::Init(uint64_t offset, uint64_t length) {
-  end_ = offset + length;
-  Slice view;
-  COLMR_RETURN_IF_ERROR(input_->Peek(4, &view));
-  if (view.size() < 4 || memcmp(view.data(), kMagic, 4) != 0) {
-    return Status::Corruption("rcfile: bad magic");
-  }
-  input_->Consume(4);
-  uint64_t schema_len;
-  COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&schema_len));
-  std::string schema_text;
-  COLMR_RETURN_IF_ERROR(input_->ReadBytes(schema_len, &schema_text));
-  COLMR_RETURN_IF_ERROR(Schema::Parse(schema_text, &schema_));
-  std::string codec_byte;
-  COLMR_RETURN_IF_ERROR(input_->ReadBytes(1, &codec_byte));
-  codec_ = GetCodec(static_cast<CodecType>(codec_byte[0]));
-  if (codec_ == nullptr) return Status::Corruption("rcfile: unknown codec");
-  COLMR_RETURN_IF_ERROR(input_->ReadBytes(kSyncSize, &sync_));
-
-  if (projection_.empty()) {
-    for (size_t c = 0; c < schema_->fields().size(); ++c) {
-      projection_.push_back(static_cast<int>(c));
-    }
-  }
-  for (int c : projection_) {
-    if (c < 0 || c >= static_cast<int>(schema_->fields().size())) {
-      return Status::InvalidArgument("rcfile: projected column out of range");
-    }
-  }
-
-  if (offset > input_->position()) {
-    COLMR_RETURN_IF_ERROR(ScanToSync(offset));
-  }
-  return Status::OK();
-}
-
-Status RcFileScanner::ScanToSync(uint64_t from) {
-  COLMR_RETURN_IF_ERROR(input_->Seek(from));
-  std::string pattern;
-  {
-    Buffer b;
-    PutFixed32(&b, kSyncEscape);
-    b.Append(sync_);
-    pattern = b.TakeString();
-  }
-  for (;;) {
-    Slice view;
-    COLMR_RETURN_IF_ERROR(input_->Peek(4096, &view));
-    if (view.size() < pattern.size()) {
-      done_ = true;
-      return Status::OK();
-    }
-    for (size_t i = 0; i + pattern.size() <= view.size(); ++i) {
-      if (memcmp(view.data() + i, pattern.data(), pattern.size()) == 0) {
-        const uint64_t sync_pos = input_->position() + i;
-        if (sync_pos >= end_) {
-          done_ = true;
-          return Status::OK();
-        }
-        // Position at the escape itself; ReadRowGroup consumes it.
-        input_->Consume(i);
-        return Status::OK();
+  /// projection: indices of the columns to materialize; empty = all.
+  Status Open(std::vector<int> projection) {
+    std::string flags;
+    COLMR_RETURN_IF_ERROR(ReadHeader(kMagic, 1, &flags));
+    codec_ = GetCodec(static_cast<CodecType>(flags[0]));
+    if (codec_ == nullptr) return Status::Corruption("rcfile: unknown codec");
+    const size_t n_fields = schema().fields().size();
+    if (projection.empty()) {
+      for (size_t c = 0; c < n_fields; ++c) {
+        projection.push_back(static_cast<int>(c));
       }
     }
-    input_->Consume(view.size() - pattern.size() + 1);
+    for (int c : projection) {
+      if (c < 0 || c >= static_cast<int>(n_fields)) {
+        return Status::InvalidArgument(
+            "rcfile: projected column out of range");
+      }
+    }
+    std::sort(projection.begin(), projection.end());
+    projection_ = std::move(projection);
+    return Status::OK();
   }
-}
 
-Status RcFileScanner::ReadRowGroup() {
+ private:
+  Status ReadRecord(Value* value) override;
+  Status ReadRowGroup();
+
+  const Codec* codec_ = nullptr;
+  std::vector<int> projection_;  // sorted column indices
+
+  // Current row-group state.
+  uint64_t group_rows_ = 0;
+  uint64_t group_row_cursor_ = 0;
+  std::vector<Buffer> column_bytes_;   // decompressed, projected only
+  std::vector<Slice> column_cursors_;  // per projected column
+};
+
+Status RcFileRecordReader::ReadRowGroup() {
   // At the sync escape of a row-group (or EOF / next split's group).
   if (input_->AtEnd()) {
     done_ = true;
     return Status::OK();
   }
-  const uint64_t sync_pos = input_->position();
-  if (sync_pos >= end_) {
-    done_ = true;
-    return Status::OK();
-  }
-  Slice view;
-  COLMR_RETURN_IF_ERROR(input_->Peek(4 + kSyncSize, &view));
-  uint32_t word = 0;
-  if (view.size() >= 4) memcpy(&word, view.data(), 4);
-  if (view.size() < 4 + kSyncSize || word != kSyncEscape ||
-      memcmp(view.data() + 4, sync_.data(), kSyncSize) != 0) {
-    return Status::Corruption("rcfile: expected row-group sync");
-  }
-  input_->Consume(4 + kSyncSize);
+  COLMR_RETURN_IF_ERROR(ConsumeSync());
+  if (done_) return Status::OK();
 
   // Metadata region — interpreted for every row-group regardless of the
   // projection (the per-group CPU overhead the paper calls out).
+  const size_t n_fields = schema().fields().size();
   uint64_t n_rows, n_cols;
   COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&n_rows));
   COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&n_cols));
-  if (n_cols != schema_->fields().size()) {
+  if (n_cols != n_fields) {
     return Status::Corruption("rcfile: column count mismatch");
   }
   std::vector<uint64_t> stored_len(n_cols), raw_len(n_cols);
@@ -309,26 +228,54 @@ Status RcFileScanner::ReadRowGroup() {
   return Status::OK();
 }
 
-Status RcFileScanner::Advance() {
+Status RcFileRecordReader::ReadRecord(Value* value) {
   while (group_row_cursor_ >= group_rows_) {
     COLMR_RETURN_IF_ERROR(ReadRowGroup());
     if (done_) return Status::OK();
   }
-  std::vector<Value> values(schema_->fields().size());
+  // Unprojected columns stay Null in the reused record.
+  if (value->kind() != TypeKind::kRecord) {
+    *value = Value::Record(std::vector<Value>(schema().fields().size()));
+  }
+  std::vector<Value>& fields = *value->mutable_elements();
   for (size_t p = 0; p < projection_.size(); ++p) {
     const int c = projection_[p];
-    COLMR_RETURN_IF_ERROR(DecodeValue(*schema_->fields()[c].type,
-                                      &column_cursors_[p], &values[c]));
+    COLMR_RETURN_IF_ERROR(DecodeValue(*schema().fields()[c].type,
+                                      &column_cursors_[p], &fields[c]));
   }
-  value_ = Value::Record(std::move(values));
   ++group_row_cursor_;
   return Status::OK();
 }
 
-bool RcFileScanner::Next() {
-  if (done_ || !status_.ok()) return false;
-  status_ = Advance();
-  return status_.ok() && !done_;
+}  // namespace
+
+Status RcFileInputFormat::OpenReader(MiniHdfs* fs, const JobConfig& config,
+                                     const InputSplit& split,
+                                     const ReadContext& context,
+                                     std::unique_ptr<BufferedReader> input,
+                                     std::unique_ptr<RecordReader>* reader) {
+  const std::string& file = split.paths.at(0);
+  Schema::Ptr schema;
+  COLMR_RETURN_IF_ERROR(ReadDatasetSchema(
+      fs, file.substr(0, file.rfind('/')), &schema, context));
+  std::vector<int> projection;
+  for (const std::string& name : config.projection) {
+    const int index = schema->FieldIndex(name);
+    if (index < 0) {
+      return Status::InvalidArgument("rcfile: unknown projected column " +
+                                     name);
+    }
+    projection.push_back(index);
+  }
+  // The predicate's columns too (an empty projection reads them all).
+  if (!projection.empty() && config.predicate != nullptr) {
+    AddPredicateColumns(*config.predicate, *schema, &projection, nullptr);
+  }
+
+  auto rc = std::make_unique<RcFileRecordReader>(std::move(input), split);
+  COLMR_RETURN_IF_ERROR(rc->Open(std::move(projection)));
+  *reader = std::move(rc);
+  return Status::OK();
 }
 
 }  // namespace colmr

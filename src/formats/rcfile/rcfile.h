@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "compress/codec.h"
-#include "hdfs/reader.h"
+#include "formats/row_format.h"
 #include "mapreduce/output_format.h"
 #include "serde/schema.h"
 #include "serde/value.h"
@@ -14,9 +14,9 @@
 namespace colmr {
 
 // RCFile (He et al., ICDE 2011) — the PAX-style baseline the paper
-// compares CIF against (Section 4.1). Every HDFS block is packed with
-// row-groups; within a row-group the data region is laid out column by
-// column:
+// compares CIF against (Section 4.1), a sync file (formats/row_format.h).
+// Every HDFS block is packed with row-groups; within a row-group the data
+// region is laid out column by column:
 //   header:     magic "RCF1", length-prefixed schema text, codec byte,
 //               16-byte sync marker
 //   row-group:  sync escape (0xFFFFFFFF + sync), metadata region, data
@@ -52,7 +52,13 @@ class RcFileWriter final : public DatasetWriter {
 
  private:
   RcFileWriter(Schema::Ptr schema, RcFileWriterOptions options,
-               std::unique_ptr<FileWriter> file, std::string sync);
+               std::unique_ptr<FileWriter> file, std::string sync)
+      : schema_(std::move(schema)),
+        options_(options),
+        file_(std::move(file)),
+        sync_(std::move(sync)),
+        column_data_(schema_->fields().size()),
+        value_lengths_(schema_->fields().size()) {}
 
   Status FlushRowGroup();
 
@@ -68,45 +74,21 @@ class RcFileWriter final : public DatasetWriter {
   uint64_t group_raw_bytes_ = 0;
 };
 
-/// Scans one RCFile byte range, materializing only the projected columns
-/// (others are Null in the produced record). Row-groups are owned by the
-/// split whose range contains their sync escape.
-class RcFileScanner {
+/// InputFormat over RCFile dataset directories: one split per block,
+/// snapped to row-group sync escapes. Honors JobConfig::projection
+/// (column names, resolved against the dataset's `_schema`), which RCFile
+/// uses for I/O elimination within row-groups, the partial pushdown the
+/// paper contrasts with CIF's whole-file elimination. Unprojected columns
+/// read as Null.
+class RcFileInputFormat final : public RowInputFormat {
  public:
-  /// projection: indices of columns to materialize; empty = all.
-  static Status Open(MiniHdfs* fs, const std::string& file,
-                     const ReadContext& context, uint64_t offset,
-                     uint64_t length, std::vector<int> projection,
-                     std::unique_ptr<RcFileScanner>* scanner);
+  std::string name() const override { return "rcfile"; }
 
-  bool Next();
-  const Value& record_value() const { return value_; }
-  Status status() const { return status_; }
-  const Schema::Ptr& schema() const { return schema_; }
-
- private:
-  RcFileScanner() = default;
-
-  Status Init(uint64_t offset, uint64_t length);
-  Status ScanToSync(uint64_t from);
-  Status ReadRowGroup();
-  Status Advance();
-
-  std::unique_ptr<BufferedReader> input_;
-  Schema::Ptr schema_;
-  const Codec* codec_ = nullptr;
-  std::string sync_;
-  uint64_t end_ = 0;
-  bool done_ = false;
-  std::vector<int> projection_;  // sorted column indices
-  Status status_;
-  Value value_;
-
-  // Current row-group state.
-  uint64_t group_rows_ = 0;
-  uint64_t group_row_cursor_ = 0;
-  std::vector<Buffer> column_bytes_;   // decompressed, projected only
-  std::vector<Slice> column_cursors_;  // per projected column
+ protected:
+  Status OpenReader(MiniHdfs* fs, const JobConfig& config,
+                    const InputSplit& split, const ReadContext& context,
+                    std::unique_ptr<BufferedReader> input,
+                    std::unique_ptr<RecordReader>* reader) override;
 };
 
 }  // namespace colmr

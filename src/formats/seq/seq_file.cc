@@ -1,11 +1,6 @@
 #include "formats/seq/seq_file.h"
 
-#include <cstring>
-
 #include "common/coding.h"
-#include "common/hash.h"
-#include "common/random.h"
-#include "formats/text/text_format.h"
 #include "serde/encoding.h"
 
 namespace colmr {
@@ -13,34 +8,11 @@ namespace colmr {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'E', 'Q', '6'};
-constexpr size_t kSyncSize = 16;
-constexpr uint32_t kSyncEscape = 0xFFFFFFFFu;
 
-/// Domain seed for sync-marker derivation. The marker is a pure function
-/// of (this constant, the dataset path) through the specified FNV-1a +
-/// splitmix64 hash — NOT std::hash, whose implementation-defined result
-/// made files written on one platform mismatch goldens from another.
-/// SeqTest.SyncMarkerBytesArePinned pins the derived bytes.
+/// Domain seed of the sync-marker derivation (formats/row_format.h).
 constexpr uint64_t kSeqSyncSeed = 0x5345513653594e43ull;  // "SEQ6SYNC"
 
-std::string MakeSyncMarker(uint64_t seed) {
-  Random rng(seed);
-  std::string sync(kSyncSize, '\0');
-  for (size_t i = 0; i < kSyncSize; ++i) {
-    // Avoid 0xFF so the escape word cannot occur inside the marker.
-    sync[i] = static_cast<char>(rng.Uniform(255));
-  }
-  return sync;
-}
-
 }  // namespace
-
-SeqWriter::SeqWriter(Schema::Ptr schema, SeqWriterOptions options,
-                     std::unique_ptr<FileWriter> file, std::string sync)
-    : schema_(std::move(schema)),
-      options_(options),
-      file_(std::move(file)),
-      sync_(std::move(sync)) {}
 
 Status SeqWriter::Open(MiniHdfs* fs, const std::string& path,
                        Schema::Ptr schema, const SeqWriterOptions& options,
@@ -49,19 +21,13 @@ Status SeqWriter::Open(MiniHdfs* fs, const std::string& path,
       GetCodec(options.codec) == nullptr) {
     return Status::InvalidArgument("seq: unknown codec");
   }
-  COLMR_RETURN_IF_ERROR(WriteDatasetSchema(fs, path, *schema));
+  const char flags[2] = {static_cast<char>(options.compression),
+                         static_cast<char>(options.codec)};
   std::unique_ptr<FileWriter> file;
-  COLMR_RETURN_IF_ERROR(fs->Create(path + "/part-00000", &file));
-
-  std::string sync = MakeSyncMarker(HashBytes(path, kSeqSyncSeed));
-  Buffer header;
-  header.Append(Slice(kMagic, 4));
-  PutLengthPrefixed(&header, schema->ToString());
-  header.PushBack(static_cast<char>(options.compression));
-  header.PushBack(static_cast<char>(options.codec));
-  header.Append(sync);
-  file->Append(header.AsSlice());
-
+  std::string sync;
+  COLMR_RETURN_IF_ERROR(CreateSyncFile(fs, path, *schema, kMagic,
+                                       Slice(flags, 2), kSeqSyncSeed, &file,
+                                       &sync));
   writer->reset(
       new SeqWriter(std::move(schema), options, std::move(file), sync));
   return Status::OK();
@@ -69,8 +35,7 @@ Status SeqWriter::Open(MiniHdfs* fs, const std::string& path,
 
 void SeqWriter::WriteSyncEscape() {
   Buffer escape;
-  PutFixed32(&escape, kSyncEscape);
-  escape.Append(sync_);
+  AppendSyncEscape(sync_, &escape);
   file_->Append(escape.AsSlice());
   bytes_since_sync_ = 0;
 }
@@ -133,147 +98,53 @@ Status SeqWriter::Close() {
   return file_->Close();
 }
 
-// ---- SeqScanner ----
+namespace {
 
-Status SeqScanner::Open(MiniHdfs* fs, const std::string& file,
-                        const ReadContext& context, uint64_t offset,
-                        uint64_t length,
-                        std::unique_ptr<SeqScanner>* scanner) {
-  std::unique_ptr<FileReader> raw;
-  COLMR_RETURN_IF_ERROR(fs->Open(file, context, &raw));
-  auto buffered = std::make_unique<BufferedReader>(
-      std::move(raw), fs->config().io_buffer_size);
-  std::unique_ptr<SeqScanner> result(new SeqScanner());
-  result->input_ = std::move(buffered);
-  COLMR_RETURN_IF_ERROR(result->Init(offset, length));
-  *scanner = std::move(result);
-  return Status::OK();
-}
+/// Reads one SEQ split: records, or in block mode the records of each
+/// owned block, between the sync escapes the split owns.
+class SeqRecordReader final : public SyncFileReader {
+ public:
+  SeqRecordReader(std::unique_ptr<BufferedReader> input,
+                  const InputSplit& split)
+      : SyncFileReader(std::move(input), split) {}
 
-Status SeqScanner::Init(uint64_t offset, uint64_t length) {
-  end_ = offset + length;
-  // Header.
-  Slice view;
-  COLMR_RETURN_IF_ERROR(input_->Peek(4, &view));
-  if (view.size() < 4 || memcmp(view.data(), kMagic, 4) != 0) {
-    return Status::Corruption("seq: bad magic");
-  }
-  input_->Consume(4);
-  uint64_t schema_len;
-  COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&schema_len));
-  std::string schema_text;
-  COLMR_RETURN_IF_ERROR(input_->ReadBytes(schema_len, &schema_text));
-  COLMR_RETURN_IF_ERROR(Schema::Parse(schema_text, &schema_));
-  std::string mode_bytes;
-  COLMR_RETURN_IF_ERROR(input_->ReadBytes(2, &mode_bytes));
-  compression_ = static_cast<SeqCompression>(mode_bytes[0]);
-  codec_ = GetCodec(static_cast<CodecType>(mode_bytes[1]));
-  if (codec_ == nullptr) return Status::Corruption("seq: unknown codec");
-  COLMR_RETURN_IF_ERROR(input_->ReadBytes(kSyncSize, &sync_));
-  if (sync_.size() != kSyncSize) return Status::Corruption("seq: short header");
-
-  const uint64_t header_end = input_->position();
-  if (offset > header_end) {
-    COLMR_RETURN_IF_ERROR(ScanToSync(offset));
-  }
-  // Block mode positions at its first sync even for the first split.
-  return Status::OK();
-}
-
-Status SeqScanner::ScanToSync(uint64_t from) {
-  COLMR_RETURN_IF_ERROR(input_->Seek(from));
-  // Search for the 20-byte escape+sync pattern; keep a 19-byte overlap
-  // across Peek windows so matches spanning a boundary are found.
-  std::string pattern;
-  {
-    Buffer b;
-    PutFixed32(&b, kSyncEscape);
-    b.Append(sync_);
-    pattern = b.TakeString();
-  }
-  for (;;) {
-    Slice view;
-    COLMR_RETURN_IF_ERROR(input_->Peek(4096, &view));
-    if (view.size() < pattern.size()) {
-      done_ = true;  // no further sync: nothing owned by this split
-      return Status::OK();
-    }
-    for (size_t i = 0; i + pattern.size() <= view.size(); ++i) {
-      if (memcmp(view.data() + i, pattern.data(), pattern.size()) == 0) {
-        const uint64_t sync_pos = input_->position() + i;
-        if (sync_pos >= end_) {
-          done_ = true;  // first sync at/after our end: owned by next split
-          return Status::OK();
-        }
-        // Position at the escape itself; Advance() consumes and validates
-        // it (and, in block mode, reads the block that follows).
-        input_->Consume(i);
-        return Status::OK();
-      }
-    }
-    input_->Consume(view.size() - pattern.size() + 1);
-  }
-}
-
-bool SeqScanner::Next() {
-  if (done_ || !status_.ok()) return false;
-  status_ = Advance();
-  if (!status_.ok()) return false;
-  return !done_;
-}
-
-Status SeqScanner::Advance() {
-  // Block mode: drain the current decompressed block first.
-  if (compression_ == SeqCompression::kBlock && !block_cursor_.empty()) {
-    Slice record_bytes;
-    COLMR_RETURN_IF_ERROR(GetLengthPrefixed(&block_cursor_, &record_bytes));
-    return DecodeValue(*schema_, &record_bytes, &value_);
+  Status Open() {
+    std::string flags;
+    COLMR_RETURN_IF_ERROR(ReadHeader(kMagic, 2, &flags));
+    compression_ = static_cast<SeqCompression>(flags[0]);
+    codec_ = GetCodec(static_cast<CodecType>(flags[1]));
+    if (codec_ == nullptr) return Status::Corruption("seq: unknown codec");
+    return Status::OK();
   }
 
-  for (;;) {
+ private:
+  Status ReadRecord(Value* value) override;
+  Status ReadBlock();
+
+  SeqCompression compression_ = SeqCompression::kNone;
+  const Codec* codec_ = nullptr;
+  // Decompressed bytes: a record's value, or the block being drained.
+  Buffer raw_;
+  Slice block_cursor_;
+};
+
+Status SeqRecordReader::ReadRecord(Value* value) {
+  while (block_cursor_.empty()) {
     if (input_->AtEnd()) {
       done_ = true;
       return Status::OK();
     }
-    // Sync escape?
-    Slice view;
-    COLMR_RETURN_IF_ERROR(input_->Peek(4, &view));
-    uint32_t word = 0;
-    if (view.size() >= 4) memcpy(&word, view.data(), 4);
-    if (view.size() >= 4 && word == kSyncEscape) {
-      const uint64_t sync_pos = input_->position();
-      if (sync_pos >= end_) {
-        done_ = true;  // region beyond our range: next split's records
-        return Status::OK();
-      }
-      COLMR_RETURN_IF_ERROR(input_->Peek(4 + kSyncSize, &view));
-      if (view.size() < 4 + kSyncSize ||
-          memcmp(view.data() + 4, sync_.data(), kSyncSize) != 0) {
-        return Status::Corruption("seq: bad sync marker");
-      }
-      input_->Consume(4 + kSyncSize);
+    bool at_sync = false;
+    COLMR_RETURN_IF_ERROR(AtSyncEscape(&at_sync));
+    if (at_sync) {
+      COLMR_RETURN_IF_ERROR(ConsumeSync());
+      if (done_) return Status::OK();
       if (compression_ == SeqCompression::kBlock) {
-        uint64_t n_records, compressed_len;
-        COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&n_records));
-        COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&compressed_len));
-        Slice compressed;
-        COLMR_RETURN_IF_ERROR(input_->Peek(compressed_len, &compressed));
-        if (compressed.size() < compressed_len) {
-          return Status::Corruption("seq: truncated block");
-        }
-        block_.Clear();
-        COLMR_RETURN_IF_ERROR(
-            codec_->Decompress(compressed.Prefix(compressed_len), &block_));
-        input_->Consume(compressed_len);
-        block_cursor_ = block_.AsSlice();
-        Slice record_bytes;
-        COLMR_RETURN_IF_ERROR(
-            GetLengthPrefixed(&block_cursor_, &record_bytes));
-        return DecodeValue(*schema_, &record_bytes, &value_);
+        COLMR_RETURN_IF_ERROR(ReadBlock());
+        break;
       }
-      continue;  // none/record mode: fall through to the record after sync
+      continue;  // none/record mode: the record after the sync
     }
-
     if (compression_ == SeqCompression::kBlock) {
       return Status::Corruption("seq: expected sync before block");
     }
@@ -290,16 +161,51 @@ Status SeqScanner::Advance() {
     }
     value_bytes = value_bytes.Prefix(value_len);
     if (compression_ == SeqCompression::kRecord) {
-      Buffer raw;
-      COLMR_RETURN_IF_ERROR(codec_->Decompress(value_bytes, &raw));
+      raw_.Clear();
+      COLMR_RETURN_IF_ERROR(codec_->Decompress(value_bytes, &raw_));
       input_->Consume(value_len);
-      Slice raw_slice = raw.AsSlice();
-      return DecodeValue(*schema_, &raw_slice, &value_);
+      Slice raw = raw_.AsSlice();
+      return DecodeValue(schema(), &raw, value);
     }
-    Status s = DecodeValue(*schema_, &value_bytes, &value_);
+    Status s = DecodeValue(schema(), &value_bytes, value);
     input_->Consume(value_len);
     return s;
   }
+  // Block mode: the next record of the decompressed block.
+  Slice record_bytes;
+  COLMR_RETURN_IF_ERROR(GetLengthPrefixed(&block_cursor_, &record_bytes));
+  return DecodeValue(schema(), &record_bytes, value);
+}
+
+Status SeqRecordReader::ReadBlock() {
+  uint64_t n_records, compressed_len;
+  COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&n_records));
+  COLMR_RETURN_IF_ERROR(input_->ReadVarint64(&compressed_len));
+  Slice compressed;
+  COLMR_RETURN_IF_ERROR(input_->Peek(compressed_len, &compressed));
+  if (compressed.size() < compressed_len) {
+    return Status::Corruption("seq: truncated block");
+  }
+  raw_.Clear();
+  COLMR_RETURN_IF_ERROR(
+      codec_->Decompress(compressed.Prefix(compressed_len), &raw_));
+  input_->Consume(compressed_len);
+  block_cursor_ = raw_.AsSlice();
+  return Status::OK();
+}
+
+}  // namespace
+
+Status SeqInputFormat::OpenReader(MiniHdfs* /*fs*/,
+                                  const JobConfig& /*config*/,
+                                  const InputSplit& split,
+                                  const ReadContext& /*context*/,
+                                  std::unique_ptr<BufferedReader> input,
+                                  std::unique_ptr<RecordReader>* reader) {
+  auto seq = std::make_unique<SeqRecordReader>(std::move(input), split);
+  COLMR_RETURN_IF_ERROR(seq->Open());
+  *reader = std::move(seq);
+  return Status::OK();
 }
 
 }  // namespace colmr

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "compress/codec.h"
-#include "hdfs/reader.h"
+#include "formats/row_format.h"
 #include "mapreduce/output_format.h"
 #include "serde/schema.h"
 #include "serde/value.h"
@@ -13,12 +13,12 @@
 namespace colmr {
 
 // SequenceFile: the standard Hadoop binary row format (the paper's SEQ
-// baseline). Layout:
+// baseline), a sync file (formats/row_format.h). Layout:
 //   header:  magic "SEQ6", length-prefixed schema text, compression mode
 //            byte, codec byte, 16-byte sync marker
 //   stream:  records / blocks, with a sync escape (0xFFFFFFFF + the sync
-//            marker) injected at least every sync_interval bytes so byte-
-//            range splits can find a record boundary.
+//            marker) injected at least every sync_interval bytes so block
+//            splits can find a record boundary.
 //   record (none/record modes):  varint key_len (0: NullWritable keys),
 //            varint value_len, value bytes (record mode: codec-compressed)
 //   block (block mode):          sync escape, varint record count, varint
@@ -55,7 +55,11 @@ class SeqWriter final : public DatasetWriter {
 
  private:
   SeqWriter(Schema::Ptr schema, SeqWriterOptions options,
-            std::unique_ptr<FileWriter> file, std::string sync);
+            std::unique_ptr<FileWriter> file, std::string sync)
+      : schema_(std::move(schema)),
+        options_(options),
+        file_(std::move(file)),
+        sync_(std::move(sync)) {}
 
   void WriteSyncEscape();
   Status FlushBlock();
@@ -71,42 +75,17 @@ class SeqWriter final : public DatasetWriter {
   uint64_t block_records_ = 0;
 };
 
-/// Scans the records of one SEQ file byte range. Ownership rule (as in
-/// Hadoop): a split owns the sync regions whose sync escape starts in
-/// [offset, offset + length).
-class SeqScanner {
+/// InputFormat over SEQ dataset directories (the paper's
+/// SequenceFileInputFormat): one split per block, snapped to sync escapes.
+class SeqInputFormat final : public RowInputFormat {
  public:
-  static Status Open(MiniHdfs* fs, const std::string& file,
-                     const ReadContext& context, uint64_t offset,
-                     uint64_t length, std::unique_ptr<SeqScanner>* scanner);
+  std::string name() const override { return "seq"; }
 
-  /// Advances to the next record; false at end of range or error.
-  bool Next();
-  /// The current decoded record value (valid after Next() == true).
-  const Value& value() const { return value_; }
-  Status status() const { return status_; }
-  const Schema::Ptr& schema() const { return schema_; }
-
- private:
-  SeqScanner() = default;
-
-  Status Init(uint64_t offset, uint64_t length);
-  Status ScanToSync(uint64_t from);
-  /// Reads one record at the cursor; sets done_ when the range is over.
-  Status Advance();
-
-  std::unique_ptr<BufferedReader> input_;
-  Schema::Ptr schema_;
-  SeqCompression compression_ = SeqCompression::kNone;
-  const Codec* codec_ = nullptr;
-  std::string sync_;
-  uint64_t end_ = 0;
-  bool done_ = false;
-  Value value_;
-  Status status_;
-  // Block mode: decompressed payload being iterated.
-  Buffer block_;
-  Slice block_cursor_;
+ protected:
+  Status OpenReader(MiniHdfs* fs, const JobConfig& config,
+                    const InputSplit& split, const ReadContext& context,
+                    std::unique_ptr<BufferedReader> input,
+                    std::unique_ptr<RecordReader>* reader) override;
 };
 
 }  // namespace colmr

@@ -268,95 +268,69 @@ Status TextWriter::Close() { return file_->Close(); }
 
 namespace {
 
-/// Reads byte-range splits of a TXT part file, snapping to line
-/// boundaries as Hadoop's LineRecordReader does: a split owns the records
-/// that *start* within (offset, offset + length].
-class TextRecordReader final : public RecordReader {
+/// Reads one TXT split, snapping to line boundaries as Hadoop's
+/// LineRecordReader does: a split owns the records that *start* within
+/// (offset, offset + length].
+class TextRecordReader final : public RowRecordReader {
  public:
-  TextRecordReader(Schema::Ptr schema, std::unique_ptr<BufferedReader> input,
-                   uint64_t offset, uint64_t length)
-      : schema_(std::move(schema)),
-        input_(std::move(input)),
-        end_(offset + length),
-        record_(schema_, Value::Null()) {
-    if (offset == 0) {
-      status_ = input_->Seek(0);
-    } else {
-      // Skip the partial line owned by the previous split.
-      status_ = input_->Seek(offset);
-      if (status_.ok()) {
-        std::string discard;
-        status_ = ReadLine(&discard);
-      }
-    }
-  }
+  TextRecordReader(std::unique_ptr<BufferedReader> input,
+                   const InputSplit& split, Schema::Ptr schema)
+      : RowRecordReader(std::move(input), split, std::move(schema)) {}
 
-  bool Next() override {
-    if (!status_.ok()) return false;
-    if (input_->position() > end_ || input_->AtEnd()) return false;
-    std::string line;
-    status_ = ReadLine(&line);
-    if (!status_.ok()) return false;
-    Value value;
-    status_ = ParseTextRecord(*schema_, line, &value);
-    if (!status_.ok()) return false;
-    record_ = EagerRecord(schema_, std::move(value));
-    return true;
+  /// Skips the partial line owned by the previous split.
+  Status Open() {
+    COLMR_RETURN_IF_ERROR(input_->Seek(offset_));
+    return offset_ == 0 ? Status::OK() : ReadLine();
   }
-
-  Record& record() override { return record_; }
-  Status status() const override { return status_; }
 
  private:
-  Status ReadLine(std::string* line) {
-    line->clear();
+  Status ReadRecord(Value* value) override {
+    if (input_->position() > end_ || input_->AtEnd()) {
+      done_ = true;
+      return Status::OK();
+    }
+    COLMR_RETURN_IF_ERROR(ReadLine());
+    return ParseTextRecord(schema(), line_, value);
+  }
+
+  /// Reads the line at the cursor into line_.
+  Status ReadLine() {
+    line_.clear();
     for (;;) {
       Slice view;
       COLMR_RETURN_IF_ERROR(input_->Peek(1, &view));
       if (view.empty()) return Status::OK();  // EOF ends the last line
       for (size_t i = 0; i < view.size(); ++i) {
         if (view[i] == '\n') {
-          line->append(view.data(), i);
+          line_.append(view.data(), i);
           input_->Consume(i + 1);
           return Status::OK();
         }
       }
-      line->append(view.data(), view.size());
+      line_.append(view.data(), view.size());
       input_->Consume(view.size());
     }
   }
 
-  Schema::Ptr schema_;
-  std::unique_ptr<BufferedReader> input_;
-  uint64_t end_;
-  EagerRecord record_;
-  Status status_;
+  std::string line_;
 };
 
 }  // namespace
 
-Status TextInputFormat::GetSplits(MiniHdfs* fs, const JobConfig& config,
-                                  const ReadContext& /*context*/,
-                                  std::vector<InputSplit>* splits) {
-  // Planning only touches namenode metadata; no data blocks are read.
-  return ComputeFileSplits(fs, config.input_paths, config.split_size, splits);
-}
-
-Status TextInputFormat::CreateRecordReader(
-    MiniHdfs* fs, const JobConfig& config, const InputSplit& split,
-    const ReadContext& context, std::unique_ptr<RecordReader>* reader) {
-  (void)config;
+Status TextInputFormat::OpenReader(MiniHdfs* fs, const JobConfig& /*config*/,
+                                   const InputSplit& split,
+                                   const ReadContext& context,
+                                   std::unique_ptr<BufferedReader> input,
+                                   std::unique_ptr<RecordReader>* reader) {
   // The dataset directory is the parent of the part file.
   const std::string& file = split.paths.at(0);
-  const std::string dir = file.substr(0, file.rfind('/'));
   Schema::Ptr schema;
-  COLMR_RETURN_IF_ERROR(ReadDatasetSchema(fs, dir, &schema, context));
-  std::unique_ptr<FileReader> raw;
-  COLMR_RETURN_IF_ERROR(fs->Open(file, context, &raw));
-  auto buffered = std::make_unique<BufferedReader>(
-      std::move(raw), fs->config().io_buffer_size);
-  reader->reset(new TextRecordReader(std::move(schema), std::move(buffered),
-                                     split.offset, split.length));
+  COLMR_RETURN_IF_ERROR(ReadDatasetSchema(
+      fs, file.substr(0, file.rfind('/')), &schema, context));
+  auto text = std::make_unique<TextRecordReader>(std::move(input), split,
+                                                 std::move(schema));
+  COLMR_RETURN_IF_ERROR(text->Open());
+  *reader = std::move(text);
   return Status::OK();
 }
 

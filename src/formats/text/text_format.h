@@ -5,8 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "hdfs/reader.h"
-#include "mapreduce/input_format.h"
+#include "formats/row_format.h"
 #include "mapreduce/output_format.h"
 #include "serde/record.h"
 
@@ -45,19 +44,17 @@ class TextWriter final : public DatasetWriter {
   uint64_t records_ = 0;
 };
 
-/// InputFormat over TXT dataset directories. Splits are byte ranges
+/// InputFormat over TXT dataset directories: one split per block,
 /// snapped to line boundaries, exactly like Hadoop's TextInputFormat.
-class TextInputFormat final : public InputFormat {
+class TextInputFormat final : public RowInputFormat {
  public:
   std::string name() const override { return "txt"; }
-  using InputFormat::GetSplits;
-  Status GetSplits(MiniHdfs* fs, const JobConfig& config,
-                   const ReadContext& context,
-                   std::vector<InputSplit>* splits) override;
-  Status CreateRecordReader(MiniHdfs* fs, const JobConfig& config,
-                            const InputSplit& split,
-                            const ReadContext& context,
-                            std::unique_ptr<RecordReader>* reader) override;
+
+ protected:
+  Status OpenReader(MiniHdfs* fs, const JobConfig& config,
+                    const InputSplit& split, const ReadContext& context,
+                    std::unique_ptr<BufferedReader> input,
+                    std::unique_ptr<RecordReader>* reader) override;
 };
 
 /// Reads the `_schema` file of a dataset directory, accounting the I/O to

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "common/hash.h"
 #include "hdfs/cluster.h"
 
 namespace colmr {
@@ -188,12 +189,12 @@ class FaultInjector {
   /// Stable 64-bit key for a file path, used to key write draws.
   static uint64_t PathKey(const std::string& path) {
     // FNV-1a, then the splitmix64 finalizer for diffusion.
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = kFnv64OffsetBasis;
     for (char c : path) {
       h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
+      h *= kFnv64Prime;
     }
-    return Mix(h);
+    return SplitMix64(h);
   }
 
  private:
@@ -203,20 +204,13 @@ class FaultInjector {
   static constexpr uint64_t kCommitDomain = 0xc011ec7ed0c05157ull;
   static constexpr uint64_t kJobCommitKey = 0x10bc0337ull;
 
-  /// splitmix64 finalizer — a strong deterministic mix of the draw
-  /// coordinates into [0, 1).
-  static uint64_t Mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-
+  /// Mixes the draw coordinates through splitmix64 into [0, 1).
   double UnitDraw(uint64_t block, NodeId node, uint64_t salt,
                   uint64_t draw) const {
-    uint64_t h = Mix(config_.seed ^ Mix(block));
-    h = Mix(h ^ Mix(static_cast<uint64_t>(node) + 0x51ed2701ull));
-    h = Mix(h ^ Mix(salt * 0x100000001b3ull + draw));
+    uint64_t h = SplitMix64(config_.seed ^ SplitMix64(block));
+    h = SplitMix64(h ^
+                   SplitMix64(static_cast<uint64_t>(node) + 0x51ed2701ull));
+    h = SplitMix64(h ^ SplitMix64(salt * kFnv64Prime + draw));
     return static_cast<double>(h >> 11) * 0x1.0p-53;
   }
 

@@ -27,44 +27,4 @@ Status ExpandInputPaths(MiniHdfs* fs, const std::vector<std::string>& paths,
   return Status::OK();
 }
 
-Status ComputeFileSplits(MiniHdfs* fs,
-                         const std::vector<std::string>& input_paths,
-                         uint64_t split_size,
-                         std::vector<InputSplit>* splits) {
-  splits->clear();
-  if (split_size == 0) split_size = fs->config().block_size;
-  std::vector<std::string> files;
-  COLMR_RETURN_IF_ERROR(ExpandInputPaths(fs, input_paths, &files));
-  for (const std::string& file : files) {
-    // Hadoop convention: files whose basename starts with '_' (e.g. the
-    // dataset's _schema) are metadata, not input.
-    const size_t slash = file.rfind('/');
-    if (slash != std::string::npos && slash + 1 < file.size() &&
-        file[slash + 1] == '_') {
-      continue;
-    }
-    std::vector<BlockInfo> blocks;
-    COLMR_RETURN_IF_ERROR(fs->GetBlockLocations(file, &blocks));
-    uint64_t file_size = 0;
-    for (const BlockInfo& b : blocks) file_size += b.size;
-    for (uint64_t offset = 0; offset < file_size; offset += split_size) {
-      InputSplit split;
-      split.paths = {file};
-      split.offset = offset;
-      split.length = std::min(split_size, file_size - offset);
-      // Locations: replicas of the block containing the split start.
-      uint64_t block_start = 0;
-      for (const BlockInfo& b : blocks) {
-        if (offset < block_start + b.size) {
-          split.locations = b.replicas;
-          break;
-        }
-        block_start += b.size;
-      }
-      splits->push_back(std::move(split));
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace colmr

@@ -14,7 +14,7 @@ namespace colmr {
 struct JobConfig;
 
 /// A unit of map-task scheduling: a non-overlapping partition of the input
-/// (paper Section 2). Row formats produce one split per byte range of a
+/// (paper Section 2). Row formats produce one split per HDFS block of a
 /// file; CIF produces one split per split-directory (a set of column
 /// files).
 struct InputSplit {
@@ -108,15 +108,6 @@ class InputFormat {
       const ReadContext& context,
       std::unique_ptr<RecordReader>* reader) = 0;
 };
-
-/// Splits each input file into block-sized byte ranges whose locations are
-/// the block's replica nodes — the generic splitter row formats share.
-/// Ranges are later snapped to record boundaries by the format's reader
-/// (sync markers, newline scan).
-Status ComputeFileSplits(MiniHdfs* fs,
-                         const std::vector<std::string>& input_paths,
-                         uint64_t split_size,
-                         std::vector<InputSplit>* splits);
 
 /// Expands a path to the files beneath it: a file path yields itself; a
 /// directory yields all (recursive) files under it, sorted.

@@ -58,9 +58,6 @@ struct JobConfig {
   /// Number of reduce tasks; 0 = one per reduce slot.
   int num_reduce_tasks = 0;
 
-  /// Split size hint for row formats; 0 = HDFS block size.
-  uint64_t split_size = 0;
-
   /// Rows the engine asks a record reader to make resident per
   /// FillBatch() call (DESIGN.md §10). CIF decodes columns in bulk up to
   /// this many rows; 1 (or 0) means one-row batches through the same

@@ -370,6 +370,55 @@ TEST(WriteFaultTest, CommitDrawsAreDeterministic) {
   }
 }
 
+// Every seeded fault schedule is a function of these draws, so a change
+// to the hashing behind them silently moves every fault universe the
+// suites and the oracle replay. The literals pin PathKey and one bit per
+// draw over a small (key, node, salt, draw) grid.
+TEST(FaultInjectorTest, DrawsArePinned) {
+  EXPECT_EQ(FaultInjector::PathKey(""), 0xc3817c016ba4ff30ull);
+  EXPECT_EQ(FaultInjector::PathKey("/seq/part-00000"), 0xdae089a0395419b9ull);
+  EXPECT_EQ(FaultInjector::PathKey("/out/_temporary/r_00003/part-r-00003"),
+            0x5ae02d4b710b52daull);
+
+  FaultConfig config;
+  config.seed = 9002;
+  config.read_error_p = 0.5;
+  config.write_error_p = 0.5;
+  config.task_commit_error_p = 0.5;
+  const FaultInjector faults(config);
+  // Bit i of a mask is draw i of the grid, in loop order.
+  auto mask = [](auto fails) {
+    uint64_t bits = 0;
+    int bit = 0;
+    for (uint64_t key : {0ull, 1ull, 2ull, 1000003ull}) {
+      for (NodeId node : {kAnyNode, 3}) {
+        for (uint64_t salt : {0ull, 0x8000000000000000ull | 656}) {
+          for (uint64_t draw = 0; draw < 4; ++draw) {
+            bits |= uint64_t{fails(key, node, salt, draw)} << bit++;
+          }
+        }
+      }
+    }
+    return bits;
+  };
+  const uint64_t reads = mask([&](uint64_t key, NodeId node, uint64_t salt,
+                                  uint64_t draw) {
+    return faults.ReadAttemptFails(key, node, salt, draw);
+  });
+  const uint64_t writes = mask([&](uint64_t key, NodeId node, uint64_t salt,
+                                   uint64_t draw) {
+    return faults.WriteAttemptFails(key, node, salt, draw);
+  });
+  const uint64_t commits = mask([&](uint64_t key, NodeId node, uint64_t salt,
+                                    uint64_t draw) {
+    return faults.TaskCommitFails(key ^ static_cast<uint64_t>(node), salt,
+                                  draw);
+  });
+  EXPECT_EQ(reads, 0xc448398f9e4a95f4ull);
+  EXPECT_EQ(writes, 0x55f8d6de69176641ull);
+  EXPECT_EQ(commits, 0x3e4348fab2cb9d7full);
+}
+
 TEST(ReaderSnapshotTest, DeleteDuringReadIsSafe) {
   const std::string payload = Payload(2500);
   auto fs = MakeFs("/f", payload);

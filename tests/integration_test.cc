@@ -6,8 +6,8 @@
 #include "cif/cif.h"
 #include "cif/cof.h"
 #include "cif/loader.h"
-#include "formats/rcfile/rcfile_format.h"
-#include "formats/seq/seq_format.h"
+#include "formats/rcfile/rcfile.h"
+#include "formats/seq/seq_file.h"
 #include "formats/text/text_format.h"
 #include "mapreduce/engine.h"
 #include "workload/crawl.h"

@@ -5,7 +5,7 @@
 
 #include "cif/cif.h"
 #include "cif/cof.h"
-#include "formats/seq/seq_format.h"
+#include "formats/seq/seq_file.h"
 #include "formats/text/text_format.h"
 #include "mapreduce/engine.h"
 #include "workload/weblog.h"

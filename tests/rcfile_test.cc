@@ -3,7 +3,7 @@
 #include <tuple>
 
 #include "common/coding.h"
-#include "formats/rcfile/rcfile_format.h"
+#include "formats/rcfile/rcfile.h"
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/job.h"
 #include "workload/synthetic.h"
@@ -11,27 +11,27 @@
 namespace colmr {
 namespace {
 
-ClusterConfig TestCluster() {
+ClusterConfig TestCluster(uint64_t block_size) {
   ClusterConfig config;
   config.num_nodes = 4;
-  config.block_size = 64 * 1024;
+  config.block_size = block_size;
   config.io_buffer_size = 4 * 1024;
   return config;
 }
 
-std::unique_ptr<MiniHdfs> MakeFs() {
+std::unique_ptr<MiniHdfs> MakeFs(uint64_t block_size = 64 * 1024) {
   return std::make_unique<MiniHdfs>(
-      TestCluster(), std::make_unique<DefaultPlacementPolicy>(5));
+      TestCluster(block_size), std::make_unique<DefaultPlacementPolicy>(5));
 }
 
-// (row group size, codec, split size)
+// (row group size, codec, HDFS block size = split size)
 using RcCase = std::tuple<uint64_t, CodecType, uint64_t>;
 
 class RcFileRoundTripTest : public ::testing::TestWithParam<RcCase> {};
 
 TEST_P(RcFileRoundTripTest, AllRecordsExactlyOnce) {
-  const auto& [row_group_size, codec, split_size] = GetParam();
-  auto fs = MakeFs();
+  const auto& [row_group_size, codec, block_size] = GetParam();
+  auto fs = MakeFs(block_size);
   Schema::Ptr schema = MicrobenchSchema();
 
   RcFileWriterOptions options;
@@ -56,7 +56,6 @@ TEST_P(RcFileRoundTripTest, AllRecordsExactlyOnce) {
   RcFileInputFormat format;
   JobConfig config;
   config.input_paths = {"/rc"};
-  config.split_size = split_size;
   std::vector<InputSplit> splits;
   ASSERT_TRUE(format.GetSplits(fs.get(), config, &splits).ok());
 
@@ -89,12 +88,12 @@ TEST_P(RcFileRoundTripTest, AllRecordsExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(
     GroupSizesCodecsSplits, RcFileRoundTripTest,
-    ::testing::Values(RcCase{16 * 1024, CodecType::kNone, 0},
+    ::testing::Values(RcCase{16 * 1024, CodecType::kNone, 64 * 1024},
                       RcCase{16 * 1024, CodecType::kNone, 20000},
                       RcCase{64 * 1024, CodecType::kNone, 50000},
-                      RcCase{16 * 1024, CodecType::kLzf, 0},
+                      RcCase{16 * 1024, CodecType::kLzf, 64 * 1024},
                       RcCase{64 * 1024, CodecType::kLzf, 30000},
-                      RcCase{16 * 1024, CodecType::kZlite, 0},
+                      RcCase{16 * 1024, CodecType::kZlite, 64 * 1024},
                       RcCase{4 * 1024, CodecType::kNone, 7000}));
 
 TEST(RcFileTest, ProjectionMaterializesOnlyRequestedColumns) {

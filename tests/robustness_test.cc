@@ -479,12 +479,15 @@ TEST(EdgeCaseTest, EmptyDatasets) {
   ASSERT_TRUE(rc->Close().ok());
   uint64_t size;
   ASSERT_TRUE(fs->GetFileSize("/rc/part-00000", &size).ok());
-  std::unique_ptr<RcFileScanner> scanner;
-  ASSERT_TRUE(RcFileScanner::Open(fs.get(), "/rc/part-00000", ReadContext{},
-                                  0, size, {}, &scanner)
+  RcFileInputFormat format;
+  const InputSplit split{{"/rc/part-00000"}, 0, size, {}};
+  std::unique_ptr<RecordReader> reader;
+  ASSERT_TRUE(format
+                  .CreateRecordReader(fs.get(), JobConfig{}, split,
+                                      ReadContext{}, &reader)
                   .ok());
-  EXPECT_FALSE(scanner->Next());
-  EXPECT_TRUE(scanner->status().ok());
+  EXPECT_FALSE(reader->Next());
+  EXPECT_TRUE(reader->status().ok());
 
   // Zero-record column file.
   std::unique_ptr<ColumnFileWriter> col;

@@ -3,7 +3,7 @@
 #include <tuple>
 
 #include "common/coding.h"
-#include "formats/seq/seq_format.h"
+#include "formats/seq/seq_file.h"
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/job.h"
 #include "workload/synthetic.h"
@@ -11,17 +11,33 @@
 namespace colmr {
 namespace {
 
-ClusterConfig TestCluster() {
+ClusterConfig TestCluster(uint64_t block_size) {
   ClusterConfig config;
   config.num_nodes = 4;
-  config.block_size = 32 * 1024;
+  config.block_size = block_size;
   config.io_buffer_size = 4 * 1024;
   return config;
 }
 
-std::unique_ptr<MiniHdfs> MakeFs() {
+std::unique_ptr<MiniHdfs> MakeFs(uint64_t block_size = 32 * 1024) {
   return std::make_unique<MiniHdfs>(
-      TestCluster(), std::make_unique<DefaultPlacementPolicy>(5));
+      TestCluster(block_size), std::make_unique<DefaultPlacementPolicy>(5));
+}
+
+/// A reader over the whole part file of the SEQ dataset at `path`.
+std::unique_ptr<RecordReader> OpenWholeFile(MiniHdfs* fs,
+                                            const std::string& path) {
+  const std::string file = path + "/part-00000";
+  uint64_t size = 0;
+  EXPECT_TRUE(fs->GetFileSize(file, &size).ok());
+  SeqInputFormat format;
+  std::unique_ptr<RecordReader> reader;
+  EXPECT_TRUE(format
+                  .CreateRecordReader(fs, JobConfig{},
+                                      InputSplit{{file}, 0, size, {}},
+                                      ReadContext{}, &reader)
+                  .ok());
+  return reader;
 }
 
 Schema::Ptr IdSchema() {
@@ -42,14 +58,14 @@ Value IdRecord(int id, Random* rng) {
                         Value::Map(std::move(m))});
 }
 
-// (compression mode, codec, split size)
+// (compression mode, codec, HDFS block size = split size)
 using SeqCase = std::tuple<SeqCompression, CodecType, uint64_t>;
 
 class SeqRoundTripTest : public ::testing::TestWithParam<SeqCase> {};
 
 TEST_P(SeqRoundTripTest, AllRecordsExactlyOnce) {
-  const auto& [compression, codec, split_size] = GetParam();
-  auto fs = MakeFs();
+  const auto& [compression, codec, block_size] = GetParam();
+  auto fs = MakeFs(block_size);
   Schema::Ptr schema = IdSchema();
 
   SeqWriterOptions options;
@@ -72,7 +88,6 @@ TEST_P(SeqRoundTripTest, AllRecordsExactlyOnce) {
   SeqInputFormat format;
   JobConfig config;
   config.input_paths = {"/seq"};
-  config.split_size = split_size;
   std::vector<InputSplit> splits;
   ASSERT_TRUE(format.GetSplits(fs.get(), config, &splits).ok());
 
@@ -104,13 +119,13 @@ TEST_P(SeqRoundTripTest, AllRecordsExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(
     ModesAndSplits, SeqRoundTripTest,
     ::testing::Values(
-        SeqCase{SeqCompression::kNone, CodecType::kNone, 0},
+        SeqCase{SeqCompression::kNone, CodecType::kNone, 32 * 1024},
         SeqCase{SeqCompression::kNone, CodecType::kNone, 3000},
         SeqCase{SeqCompression::kNone, CodecType::kNone, 10000},
-        SeqCase{SeqCompression::kRecord, CodecType::kLzf, 0},
+        SeqCase{SeqCompression::kRecord, CodecType::kLzf, 32 * 1024},
         SeqCase{SeqCompression::kRecord, CodecType::kLzf, 5000},
         SeqCase{SeqCompression::kRecord, CodecType::kZlite, 8000},
-        SeqCase{SeqCompression::kBlock, CodecType::kLzf, 0},
+        SeqCase{SeqCompression::kBlock, CodecType::kLzf, 32 * 1024},
         SeqCase{SeqCompression::kBlock, CodecType::kLzf, 4000},
         SeqCase{SeqCompression::kBlock, CodecType::kZlite, 12345}));
 
@@ -178,13 +193,10 @@ TEST(SeqTest, CorruptSyncMarkerDetected) {
   rewriter->Append(contents);
   ASSERT_TRUE(rewriter->Close().ok());
 
-  std::unique_ptr<SeqScanner> scanner;
-  ASSERT_TRUE(SeqScanner::Open(fs.get(), "/seq/part-00000", ReadContext{}, 0,
-                               contents.size(), &scanner)
-                  .ok());
-  while (scanner->Next()) {
+  std::unique_ptr<RecordReader> scan = OpenWholeFile(fs.get(), "/seq");
+  while (scan->Next()) {
   }
-  EXPECT_TRUE(scanner->status().IsCorruption());
+  EXPECT_TRUE(scan->status().IsCorruption());
 }
 
 TEST(SeqTest, EmptyDataset) {
@@ -195,14 +207,9 @@ TEST(SeqTest, EmptyDataset) {
       SeqWriter::Open(fs.get(), "/seq", schema, SeqWriterOptions{}, &writer)
           .ok());
   ASSERT_TRUE(writer->Close().ok());
-  uint64_t size;
-  ASSERT_TRUE(fs->GetFileSize("/seq/part-00000", &size).ok());
-  std::unique_ptr<SeqScanner> scanner;
-  ASSERT_TRUE(SeqScanner::Open(fs.get(), "/seq/part-00000", ReadContext{}, 0,
-                               size, &scanner)
-                  .ok());
-  EXPECT_FALSE(scanner->Next());
-  EXPECT_TRUE(scanner->status().ok());
+  std::unique_ptr<RecordReader> reader = OpenWholeFile(fs.get(), "/seq");
+  EXPECT_FALSE(reader->Next());
+  EXPECT_TRUE(reader->status().ok());
 }
 
 // Golden-byte regression: the sync marker is a specified function of the
@@ -254,14 +261,9 @@ TEST(SeqTest, SchemaTravelsInHeader) {
   ASSERT_TRUE(writer->WriteRecord(gen.Next()).ok());
   ASSERT_TRUE(writer->Close().ok());
 
-  uint64_t size;
-  ASSERT_TRUE(fs->GetFileSize("/seq/part-00000", &size).ok());
-  std::unique_ptr<SeqScanner> scanner;
-  ASSERT_TRUE(SeqScanner::Open(fs.get(), "/seq/part-00000", ReadContext{}, 0,
-                               size, &scanner)
-                  .ok());
-  ASSERT_TRUE(scanner->Next());
-  EXPECT_TRUE(scanner->schema()->Equals(*schema));
+  std::unique_ptr<RecordReader> reader = OpenWholeFile(fs.get(), "/seq");
+  ASSERT_TRUE(reader->Next());
+  EXPECT_TRUE(reader->record().schema().Equals(*schema));
 }
 
 }  // namespace

@@ -12,17 +12,17 @@
 namespace colmr {
 namespace {
 
-ClusterConfig TestCluster() {
+ClusterConfig TestCluster(uint64_t block_size) {
   ClusterConfig config;
   config.num_nodes = 4;
-  config.block_size = 16 * 1024;
+  config.block_size = block_size;
   config.io_buffer_size = 4 * 1024;
   return config;
 }
 
-std::unique_ptr<MiniHdfs> MakeFs() {
+std::unique_ptr<MiniHdfs> MakeFs(uint64_t block_size = 16 * 1024) {
   return std::make_unique<MiniHdfs>(
-      TestCluster(), std::make_unique<DefaultPlacementPolicy>(3));
+      TestCluster(block_size), std::make_unique<DefaultPlacementPolicy>(3));
 }
 
 TEST(TextRecordTest, FormatParseRoundTrip) {
@@ -133,11 +133,12 @@ TEST(TextDatasetTest, WriteThenScanAll) {
   EXPECT_EQ(total, 500u);
 }
 
-// Property: whatever the split size, every record is read exactly once.
+// Property: whatever the split (HDFS block) size, every record is read
+// exactly once.
 class TextSplitBoundaryTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TextSplitBoundaryTest, NoLossNoDuplication) {
-  auto fs = MakeFs();
+  auto fs = MakeFs(GetParam());
   Schema::Ptr schema;
   ASSERT_TRUE(Schema::Parse("record R { id: int, s: string }", &schema).ok());
   std::unique_ptr<TextWriter> writer;
@@ -156,7 +157,6 @@ TEST_P(TextSplitBoundaryTest, NoLossNoDuplication) {
   TextInputFormat format;
   JobConfig config;
   config.input_paths = {"/t"};
-  config.split_size = GetParam();
   std::vector<InputSplit> splits;
   ASSERT_TRUE(format.GetSplits(fs.get(), config, &splits).ok());
 
